@@ -16,7 +16,7 @@ BENCH_ALLOC_GATED = BenchmarkFileStreamPeel,BenchmarkBinaryStreamPeel,BenchmarkM
 BENCH_PATTERN = BenchmarkTable1|BenchmarkParallelPeel|BenchmarkMapReducePeel|BenchmarkMapReduceCheckpoint|BenchmarkMapReduceSpill|BenchmarkFileStreamPeel|BenchmarkBinaryStreamPeel|BenchmarkConvert|BenchmarkCore|BenchmarkServe|BenchmarkDynamic
 BENCH_PKGS = . ./internal/core ./internal/serve
 
-.PHONY: build test race bench bench-core bench-mr bench-json bench-trend fmt fmt-check vet api-check api-snapshot serve-smoke deprecated-check ci
+.PHONY: build test race fuzz-smoke bench bench-core bench-mr bench-json bench-trend fmt fmt-check vet api-check api-snapshot serve-smoke deprecated-check ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,11 @@ test:
 # the sharded core scans, and the striped stream counters).
 race:
 	$(GO) test -race ./internal/...
+
+# Ten seconds of fuzzing on the BSG1 resident loaders, starting from the
+# seed corpus in internal/graph/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz=FuzzReadUndirectedBinary -fuzztime=10s ./internal/graph
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

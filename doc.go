@@ -145,10 +145,14 @@
 //     count). The scan paths are allocation-flat in the worker count:
 //     read buffers pool across solves, worker crews park between
 //     passes, and a pass in steady state allocates nothing.
-//   - BackendPeel and BackendMapReduce load the file through the same
-//     sharded scan (ReadUndirectedFile/ReadDirectedFile): workers
-//     tokenize byte ranges, labels intern in file order, and the built
-//     graph is bit-identical to a sequential parse.
+//   - BackendPeel and BackendMapReduce load the file through
+//     ReadUndirectedFile/ReadDirectedFile. For a text file, workers
+//     tokenize byte ranges and labels intern in file order. For a
+//     binary file, the integer ids are relabelled in first-seen order
+//     through an integer remap, with no label strings: LabelMap renders
+//     a label only when asked. Either way the edges land in one buffer
+//     that the builder turns into CSR by counting sort, and the graph
+//     is bit-identical to a sequential parse of the text form.
 //   - BackendMapReduce additionally bounds its resident footprint:
 //     with MRConfig.SpillBytes > 0 (CLI: -spill-mb), dataset
 //     partitions past the budget spill to per-partition binary files
@@ -321,9 +325,13 @@
 //
 // Graphs are built with NewBuilder/NewDirectedBuilder or parsed from
 // SNAP-style edge lists with ReadUndirected/ReadDirected (or their
-// sharded file variants ReadUndirectedFile/ReadDirectedFile). All
-// algorithms are deterministic given their inputs (and seeds, where
-// applicable) at every worker count.
+// file variants ReadUndirectedFile/ReadDirectedFile, which also read
+// binary files). Freeze builds the CSR by counting sort: a degree
+// histogram, a prefix sum, one scatter of the edges into their rows,
+// then a parallel per-row sort and merge, with the weights of parallel
+// edges summed in insertion order. All algorithms are deterministic
+// given their inputs (and seeds, where applicable) at every worker
+// count.
 //
 // Development workflow: the Makefile mirrors CI — `make ci` runs build,
 // vet, the gofmt gate, the API-surface gate (scripts/api_surface.sh

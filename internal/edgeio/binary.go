@@ -395,6 +395,18 @@ func readBinaryMeta(f *os.File, path string) (*binaryMeta, error) {
 			total += count
 			prevEnd = off + binaryBlockHdr
 		}
+		// The smallest encoding spends one varint byte per id (plus the
+		// weight column), so a count the block's extent cannot hold is
+		// rejected here, before any reader sizes a buffer by it.
+		minBytes := int64(2)
+		if m.weighted {
+			minBytes += 8
+		}
+		for i, ref := range m.index {
+			if extent := m.blockEnd(i) - ref.off - binaryBlockHdr; int64(ref.count)*minBytes > extent {
+				return nil, fmt.Errorf("edgeio: %s: index entry %d at offset %d: %d edges cannot fit in block %d's %d payload bytes", path, i, indexOff+int64(i)*binaryIndexEntry, ref.count, i, max(extent, 0))
+			}
+		}
 		if total != m.edges {
 			return nil, fmt.Errorf("edgeio: %s: index counts sum to %d, trailer says %d edges", path, total, m.edges)
 		}

@@ -1,6 +1,7 @@
 package edgeio
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -550,5 +551,33 @@ func TestOpenBinarySourceKind(t *testing.T) {
 	t.Logf("OpenBinarySource picked %T", src)
 	if fmt.Sprintf("%T", src) == "" {
 		t.Fatal("unreachable")
+	}
+}
+
+// TestBinaryIndexCountBound checks an index entry (with a trailer to
+// match) claiming more edges than its block's bytes can encode is
+// rejected when the file is opened, before any reader sizes a decode
+// buffer by that count.
+func TestBinaryIndexCountBound(t *testing.T) {
+	dir := t.TempDir()
+	path := writeBinaryFile(t, dir, "base.bsg", []WeightedEdge{{U: 0, V: 1}, {U: 1, V: 2}}, false, 0)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := len(data) - binaryTrailerSize
+	indexOff := binary.LittleEndian.Uint64(data[tr:])
+	const huge = 1 << 31
+	binary.LittleEndian.PutUint32(data[indexOff+8:], huge)
+	binary.LittleEndian.PutUint64(data[tr+8:], huge)
+	bad := filepath.Join(dir, "bad.bsg")
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenBinaryFileSource(bad); err == nil || !strings.Contains(err.Error(), "cannot fit") {
+		t.Fatalf("buffered reader: want a cannot-fit error, got %v", err)
+	}
+	if _, err := OpenBinarySource(bad); err == nil || !strings.Contains(err.Error(), "cannot fit") {
+		t.Fatalf("default reader: want a cannot-fit error, got %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"densestream/internal/par"
@@ -50,133 +51,159 @@ func (b *Builder) addEdge(u, v int32, w float64, weighted bool) error {
 	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
 		return fmt.Errorf("%w: %v", ErrBadWeight, w)
 	}
-	if u > v {
-		u, v = v, u
-	}
 	b.edges = append(b.edges, Edge{U: u, V: v, Weight: w})
 	b.weighted = b.weighted || weighted
 	return nil
 }
 
-// Freeze sorts, merges parallel edges, and returns the immutable graph.
+// Freeze merges parallel edges and returns the immutable graph.
+// Parallel-edge weights are summed in insertion order.
 func (b *Builder) Freeze() (*Undirected, error) {
 	if b.frozen {
 		return nil, fmt.Errorf("graph: Freeze called twice")
 	}
 	b.frozen = true
-	sortEdges(b.edges)
-	// Merge parallel edges in place (weights accumulate).
-	merged := b.edges[:0]
-	for _, e := range b.edges {
-		if k := len(merged); k > 0 && merged[k-1].U == e.U && merged[k-1].V == e.V {
-			merged[k-1].Weight += e.Weight
-			continue
-		}
-		merged = append(merged, e)
-	}
-
-	g := &Undirected{n: b.n, m: int64(len(merged))}
-	g.offsets = make([]int32, b.n+1)
-	deg := make([]int32, b.n)
-	for _, e := range merged {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	for i := 0; i < b.n; i++ {
-		g.offsets[i+1] = g.offsets[i] + deg[i]
-	}
-	g.adj = make([]int32, 2*len(merged))
-	if b.weighted {
-		g.weights = make([]float64, 2*len(merged))
-	}
-	cursor := make([]int32, b.n)
-	copy(cursor, g.offsets[:b.n])
-	for _, e := range merged {
-		g.adj[cursor[e.U]] = e.V
-		g.adj[cursor[e.V]] = e.U
-		if b.weighted {
-			g.weights[cursor[e.U]] = e.Weight
-			g.weights[cursor[e.V]] = e.Weight
-		}
-		cursor[e.U]++
-		cursor[e.V]++
-		g.totalW += e.Weight
-	}
-	if !b.weighted {
-		g.totalW = float64(len(merged))
-	}
+	g := &Undirected{n: b.n}
+	var err error
+	g.offsets, g.adj, g.weights, err = csrRows(b.n, b.edges, true, true, b.weighted)
 	b.edges = nil
+	if err != nil {
+		return nil, err
+	}
+	g.m = int64(len(g.adj) / 2)
+	g.totalW = float64(g.m)
+	if g.weights != nil {
+		g.totalW = 0
+		g.Edges(func(_, _ int32, w float64) bool {
+			g.totalW += w
+			return true
+		})
+	}
 	return g, nil
 }
 
-// sortRunSize is the fixed length of the initial sorted runs of the
-// parallel edge sort. Like par.ChunkSize, it must stay constant — run
-// boundaries depend only on the edge count, never on the worker count,
-// so the final order (including the relative order of duplicate edges,
-// whose weights later accumulate in that order) is identical on every
-// machine. It is a variable only so tests can force the sequential
-// path.
-var sortRunSize = 1 << 15
-
-// edgeLess orders edges by (U, V); duplicates compare equal and are
-// merged by Freeze afterwards.
-func edgeLess(a, b Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
+// csrRows builds CSR rows over n nodes from edges by counting sort: a
+// row-length histogram, a prefix sum, and one scatter in insertion
+// order, after which packRows sorts and merges each row. With out set,
+// edge (u, v) puts v in row u; with in set, it puts u in row v.
+func csrRows(n int, edges []Edge, out, in, weighted bool) ([]int32, []int32, []float64, error) {
+	if 2*len(edges) > math.MaxInt32 {
+		return nil, nil, nil, fmt.Errorf("graph: %d edges overflow the int32 CSR", len(edges))
 	}
-	return a.V < b.V
-}
-
-// sortEdges sorts the edge list by (U, V) through internal/par: the
-// slice is cut into fixed-size runs sorted concurrently, then merged
-// pairwise in a fixed binary tree, each level's merges running
-// concurrently. Ties always prefer the left (earlier) run, so the
-// result is deterministic for any worker count. The O(m log m)
-// single-threaded sort was the bottleneck of Freeze on large graphs.
-func sortEdges(edges []Edge) {
-	n := len(edges)
-	if n <= sortRunSize {
-		sort.Slice(edges, func(i, j int) bool { return edgeLess(edges[i], edges[j]) })
-		return
-	}
-	pool := par.New(0)
-	runs := (n + sortRunSize - 1) / sortRunSize
-	pool.ForEach(runs, func(r int) {
-		lo := r * sortRunSize
-		hi := min(lo+sortRunSize, n)
-		run := edges[lo:hi]
-		sort.Slice(run, func(i, j int) bool { return edgeLess(run[i], run[j]) })
-	})
-	buf := make([]Edge, n)
-	src, dst := edges, buf
-	for width := sortRunSize; width < n; width *= 2 {
-		pairs := (n + 2*width - 1) / (2 * width)
-		pool.ForEach(pairs, func(i int) {
-			lo := i * 2 * width
-			mid := min(lo+width, n)
-			hi := min(lo+2*width, n)
-			mergeRuns(src[lo:mid], src[mid:hi], dst[lo:hi])
-		})
-		src, dst = dst, src
-	}
-	if &src[0] != &edges[0] {
-		copy(edges, src)
-	}
-}
-
-// mergeRuns merges two sorted runs into out (len(out) == len(a)+len(b)),
-// preferring a on ties so duplicate edges keep their run order.
-func mergeRuns(a, b, out []Edge) {
-	i, j := 0, 0
-	for k := range out {
-		if j >= len(b) || (i < len(a) && !edgeLess(b[j], a[i])) {
-			out[k] = a[i]
-			i++
-		} else {
-			out[k] = b[j]
-			j++
+	offsets := make([]int32, n+1)
+	for _, e := range edges {
+		if out {
+			offsets[e.U+1]++
+		}
+		if in {
+			offsets[e.V+1]++
 		}
 	}
+	rowStarts(offsets)
+	adj := make([]int32, offsets[n])
+	var weights []float64
+	if weighted {
+		weights = make([]float64, len(adj))
+	}
+	cursor := slices.Clone(offsets[:n])
+	put := func(row, nbr int32, w float64) {
+		c := cursor[row]
+		adj[c] = nbr
+		if weights != nil {
+			weights[c] = w
+		}
+		cursor[row] = c + 1
+	}
+	for _, e := range edges {
+		if out {
+			put(e.U, e.V, e.Weight)
+		}
+		if in {
+			put(e.V, e.U, e.Weight)
+		}
+	}
+	offsets, adj, weights = packRows(offsets, adj, weights)
+	return offsets, adj, weights, nil
+}
+
+// rowStarts turns per-row counts stored at offsets[u+1] into CSR row
+// starts by an in-place prefix sum.
+func rowStarts(offsets []int32) {
+	for i := 1; i < len(offsets); i++ {
+		offsets[i] += offsets[i-1]
+	}
+}
+
+// packRows sorts every CSR row by neighbor, merges repeated neighbors
+// (summing their weights left to right in row order) and compacts the
+// rows. Weighted rows sort stably, so a row that was scattered in
+// insertion order sums its parallel edges in insertion order. Rows are
+// independent and chunked on internal/par, so the result is the same
+// for every worker count. Inputs without repeats are returned as they
+// are.
+func packRows(offsets, adj []int32, weights []float64) ([]int32, []int32, []float64) {
+	n := len(offsets) - 1
+	pool := par.Acquire(0)
+	defer pool.Release()
+	packed := make([]int32, n+1)
+	pool.ForChunks(n, func(_, lo, hi int) {
+		var byNbr *rowByNeighbor // one per chunk, weighted rows only
+		if weights != nil {
+			byNbr = new(rowByNeighbor)
+		}
+		for u := lo; u < hi; u++ {
+			row := adj[offsets[u]:offsets[u+1]]
+			if weights == nil {
+				slices.Sort(row)
+				packed[u+1] = int32(len(slices.Compact(row)))
+				continue
+			}
+			byNbr.adj, byNbr.w = row, weights[offsets[u]:offsets[u+1]]
+			sort.Stable(byNbr)
+			k := 0
+			for i, v := range row {
+				if k > 0 && row[k-1] == v {
+					byNbr.w[k-1] += byNbr.w[i]
+					continue
+				}
+				row[k], byNbr.w[k] = v, byNbr.w[i]
+				k++
+			}
+			packed[u+1] = int32(k)
+		}
+	})
+	rowStarts(packed)
+	if int(packed[n]) == len(adj) {
+		return offsets, adj, weights
+	}
+	out := make([]int32, packed[n])
+	var outW []float64
+	if weights != nil {
+		outW = make([]float64, packed[n])
+	}
+	pool.ForChunks(n, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			src := offsets[u]
+			copy(out[packed[u]:packed[u+1]], adj[src:])
+			if weights != nil {
+				copy(outW[packed[u]:packed[u+1]], weights[src:])
+			}
+		}
+	})
+	return packed, out, outW
+}
+
+// rowByNeighbor sorts one weighted CSR row by neighbor id.
+type rowByNeighbor struct {
+	adj []int32
+	w   []float64
+}
+
+func (r *rowByNeighbor) Len() int           { return len(r.adj) }
+func (r *rowByNeighbor) Less(i, j int) bool { return r.adj[i] < r.adj[j] }
+func (r *rowByNeighbor) Swap(i, j int) {
+	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
+	r.w[i], r.w[j] = r.w[j], r.w[i]
 }
 
 // FromEdges is a convenience constructor for tests and examples: it builds

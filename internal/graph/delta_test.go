@@ -28,7 +28,9 @@ func sortedDelta(keys map[[2]int32]bool) []Edge {
 	for k := range keys {
 		out = append(out, Edge{U: k[0], V: k[1], Weight: 1})
 	}
-	sort.Slice(out, func(i, j int) bool { return edgeLess(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].U < out[j].U || (out[i].U == out[j].U && out[i].V < out[j].V)
+	})
 	return out
 }
 

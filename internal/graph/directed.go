@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Directed is a frozen directed graph with both out- and in-adjacency in
@@ -152,52 +151,22 @@ func (b *DirectedBuilder) AddEdge(u, v int32) error {
 	return nil
 }
 
-// Freeze sorts, dedups and returns the immutable directed graph.
+// Freeze merges parallel edges and returns the immutable directed
+// graph.
 func (b *DirectedBuilder) Freeze() (*Directed, error) {
 	if b.frozen {
 		return nil, fmt.Errorf("graph: Freeze called twice")
 	}
 	b.frozen = true
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
-		}
-		return b.edges[i].V < b.edges[j].V
-	})
-	merged := b.edges[:0]
-	for _, e := range b.edges {
-		if k := len(merged); k > 0 && merged[k-1].U == e.U && merged[k-1].V == e.V {
-			continue
-		}
-		merged = append(merged, e)
+	g := &Directed{n: b.n}
+	var err error
+	if g.outOffsets, g.outAdj, _, err = csrRows(b.n, b.edges, true, false, false); err != nil {
+		return nil, err
 	}
-
-	g := &Directed{n: b.n, m: int64(len(merged))}
-	g.outOffsets = make([]int32, b.n+1)
-	g.inOffsets = make([]int32, b.n+1)
-	outDeg := make([]int32, b.n)
-	inDeg := make([]int32, b.n)
-	for _, e := range merged {
-		outDeg[e.U]++
-		inDeg[e.V]++
-	}
-	for i := 0; i < b.n; i++ {
-		g.outOffsets[i+1] = g.outOffsets[i] + outDeg[i]
-		g.inOffsets[i+1] = g.inOffsets[i] + inDeg[i]
-	}
-	g.outAdj = make([]int32, len(merged))
-	g.inAdj = make([]int32, len(merged))
-	outCur := make([]int32, b.n)
-	inCur := make([]int32, b.n)
-	copy(outCur, g.outOffsets[:b.n])
-	copy(inCur, g.inOffsets[:b.n])
-	for _, e := range merged {
-		g.outAdj[outCur[e.U]] = e.V
-		outCur[e.U]++
-		g.inAdj[inCur[e.V]] = e.U
-		inCur[e.V]++
-	}
+	// Same edges, so the size check that passed above passes again.
+	g.inOffsets, g.inAdj, _, _ = csrRows(b.n, b.edges, false, true, false)
 	b.edges = nil
+	g.m = int64(len(g.outAdj))
 	return g, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -18,10 +19,15 @@ import (
 // spaces or tabs.
 
 // LabelMap records the mapping between external node labels and the dense
-// internal ids produced by the parsers.
+// internal ids produced by the parsers. A map from a text load holds the
+// interned label strings. A map from a BSG1 load holds only the file's
+// integer ids: Label formats an id when called, and the first Lookup or
+// ID builds the string index (so, like ID, that first Lookup must not
+// run concurrently with other calls).
 type LabelMap struct {
-	toID   map[string]int32
+	toID   map[string]int32 // nil until first needed for a BSG1 map
 	labels []string
+	ids    []int32 // BSG1 maps before the string index is built
 }
 
 // NewLabelMap returns an empty label map.
@@ -29,8 +35,23 @@ func NewLabelMap() *LabelMap {
 	return &LabelMap{toID: make(map[string]int32)}
 }
 
+// index builds the string index of a BSG1 map, rendering every id once.
+func (lm *LabelMap) index() {
+	if lm.toID != nil {
+		return
+	}
+	lm.toID = make(map[string]int32, len(lm.ids))
+	lm.labels = make([]string, len(lm.ids))
+	for i, id := range lm.ids {
+		lm.labels[i] = strconv.Itoa(int(id))
+		lm.toID[lm.labels[i]] = int32(i)
+	}
+	lm.ids = nil
+}
+
 // ID interns label and returns its dense id.
 func (lm *LabelMap) ID(label string) int32 {
+	lm.index()
 	if id, ok := lm.toID[label]; ok {
 		return id
 	}
@@ -42,15 +63,21 @@ func (lm *LabelMap) ID(label string) int32 {
 
 // Lookup returns the id of label without interning it.
 func (lm *LabelMap) Lookup(label string) (int32, bool) {
+	lm.index()
 	id, ok := lm.toID[label]
 	return id, ok
 }
 
 // Label returns the external label of dense id.
-func (lm *LabelMap) Label(id int32) string { return lm.labels[id] }
+func (lm *LabelMap) Label(id int32) string {
+	if lm.toID == nil {
+		return strconv.Itoa(int(lm.ids[id]))
+	}
+	return lm.labels[id]
+}
 
-// Len returns the number of interned labels.
-func (lm *LabelMap) Len() int { return len(lm.labels) }
+// Len returns the number of labels.
+func (lm *LabelMap) Len() int { return len(lm.labels) + len(lm.ids) }
 
 // ParseError describes a malformed line in an edge-list input.
 type ParseError struct {
@@ -65,11 +92,12 @@ func (e *ParseError) Error() string {
 
 func (e *ParseError) Unwrap() error { return e.Err }
 
-// scanEdges parses the text edge-list format and calls emit once per edge
+// scanEdges parses the text edge-list format into one edge per edge
 // line. Self loops are skipped (with no error) because real SNAP dumps
 // contain them and the densest-subgraph model ignores them.
-func scanEdges(r io.Reader, weighted bool, emit func(u, v int32, w float64) error) (*LabelMap, error) {
+func scanEdges(r io.Reader, weighted bool) (*LabelMap, []Edge, error) {
 	lm := NewLabelMap()
+	var edges []Edge
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	lineNo := 0
@@ -81,58 +109,38 @@ func scanEdges(r io.Reader, weighted bool, emit func(u, v int32, w float64) erro
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
-			return nil, &ParseError{Line: lineNo, Text: line, Err: fmt.Errorf("want at least 2 fields, got %d", len(fields))}
+			return nil, nil, &ParseError{Line: lineNo, Text: line, Err: fmt.Errorf("want at least 2 fields, got %d", len(fields))}
 		}
 		w := 1.0
 		if weighted && len(fields) >= 3 {
 			var err error
 			w, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
-				return nil, &ParseError{Line: lineNo, Text: line, Err: fmt.Errorf("bad weight: %v", err)}
+				return nil, nil, &ParseError{Line: lineNo, Text: line, Err: fmt.Errorf("bad weight: %v", err)}
 			}
-			if w <= 0 {
-				return nil, &ParseError{Line: lineNo, Text: line, Err: ErrBadWeight}
+			if !(w > 0) || math.IsInf(w, 0) {
+				return nil, nil, &ParseError{Line: lineNo, Text: line, Err: ErrBadWeight}
 			}
 		}
 		if fields[0] == fields[1] {
 			continue // self loop: ignored by the density model
 		}
-		u := lm.ID(fields[0])
-		v := lm.ID(fields[1])
-		if err := emit(u, v, w); err != nil {
-			return nil, &ParseError{Line: lineNo, Text: line, Err: err}
-		}
+		edges = append(edges, Edge{U: lm.ID(fields[0]), V: lm.ID(fields[1]), Weight: w})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: reading edge list: %w", err)
+		return nil, nil, fmt.Errorf("graph: reading edge list: %w", err)
 	}
-	return lm, nil
+	return lm, edges, nil
 }
 
 // ReadUndirected parses an undirected edge list. If weighted is true a
 // third column is interpreted as the edge weight.
 func ReadUndirected(r io.Reader, weighted bool) (*Undirected, *LabelMap, error) {
-	var edges []Edge
-	lm, err := scanEdges(r, weighted, func(u, v int32, w float64) error {
-		edges = append(edges, Edge{U: u, V: v, Weight: w})
-		return nil
-	})
+	lm, edges, err := scanEdges(r, weighted)
 	if err != nil {
 		return nil, nil, err
 	}
-	b := NewBuilder(lm.Len())
-	for _, e := range edges {
-		var err error
-		if weighted {
-			err = b.AddWeightedEdge(e.U, e.V, e.Weight)
-		} else {
-			err = b.AddEdge(e.U, e.V)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	g, err := b.Freeze()
+	g, err := (&Builder{n: lm.Len(), edges: edges, weighted: weighted}).Freeze()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -141,21 +149,11 @@ func ReadUndirected(r io.Reader, weighted bool) (*Undirected, *LabelMap, error) 
 
 // ReadDirected parses a directed edge list (src dst per line).
 func ReadDirected(r io.Reader) (*Directed, *LabelMap, error) {
-	var edges [][2]int32
-	lm, err := scanEdges(r, false, func(u, v int32, _ float64) error {
-		edges = append(edges, [2]int32{u, v})
-		return nil
-	})
+	lm, edges, err := scanEdges(r, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	b := NewDirectedBuilder(lm.Len())
-	for _, e := range edges {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			return nil, nil, err
-		}
-	}
-	g, err := b.Freeze()
+	g, err := (&DirectedBuilder{n: lm.Len(), edges: edges}).Freeze()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -74,7 +75,7 @@ func scanFileSharded(path string, weighted bool, workers int) ([][]rawEdge, erro
 					errs[i] = fmt.Errorf("bad weight: %v", err)
 					return
 				}
-				if w <= 0 {
+				if !(w > 0) || math.IsInf(w, 0) {
 					errs[i] = ErrBadWeight
 					return
 				}
@@ -107,26 +108,8 @@ func ReadUndirectedFile(path string, weighted bool, workers int) (*Undirected, *
 	if err != nil {
 		return readUndirectedSeq(path, weighted)
 	}
-	lm := NewLabelMap()
-	var edges []Edge
-	for _, shard := range sharded {
-		for _, r := range shard {
-			edges = append(edges, Edge{U: lm.ID(r.u), V: lm.ID(r.v), Weight: r.w})
-		}
-	}
-	b := NewBuilder(lm.Len())
-	for _, e := range edges {
-		var err error
-		if weighted {
-			err = b.AddWeightedEdge(e.U, e.V, e.Weight)
-		} else {
-			err = b.AddEdge(e.U, e.V)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	g, err := b.Freeze()
+	lm, edges := internShards(sharded)
+	g, err := (&Builder{n: lm.Len(), edges: edges, weighted: weighted}).Freeze()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,24 +125,31 @@ func ReadDirectedFile(path string, workers int) (*Directed, *LabelMap, error) {
 	if err != nil {
 		return readDirectedSeq(path)
 	}
-	lm := NewLabelMap()
-	var edges [][2]int32
-	for _, shard := range sharded {
-		for _, r := range shard {
-			edges = append(edges, [2]int32{lm.ID(r.u), lm.ID(r.v)})
-		}
-	}
-	b := NewDirectedBuilder(lm.Len())
-	for _, e := range edges {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			return nil, nil, err
-		}
-	}
-	g, err := b.Freeze()
+	lm, edges := internShards(sharded)
+	g, err := (&DirectedBuilder{n: lm.Len(), edges: edges}).Freeze()
 	if err != nil {
 		return nil, nil, err
 	}
 	return g, lm, nil
+}
+
+// internShards interns the shards' labels in file order straight into
+// one edge buffer for the builder. The scan has already checked every
+// edge: distinct labels never intern to the same id, and weights are
+// positive and finite.
+func internShards(sharded [][]rawEdge) (*LabelMap, []Edge) {
+	total := 0
+	for _, shard := range sharded {
+		total += len(shard)
+	}
+	lm := NewLabelMap()
+	edges := make([]Edge, 0, total)
+	for _, shard := range sharded {
+		for _, r := range shard {
+			edges = append(edges, Edge{U: lm.ID(r.u), V: lm.ID(r.v), Weight: r.w})
+		}
+	}
+	return lm, edges
 }
 
 func readUndirectedSeq(path string, weighted bool) (*Undirected, *LabelMap, error) {
