@@ -29,10 +29,12 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# Ten seconds of fuzzing on the BSG1 resident loaders, starting from the
+# Ten seconds of fuzzing each on the BSG1 resident loaders and on the
+# text file loaders (against the sequential reader), starting from the
 # seed corpus in internal/graph/testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadUndirectedBinary -fuzztime=10s ./internal/graph
+	$(GO) test -run='^$$' -fuzz=FuzzReadTextFile -fuzztime=10s ./internal/graph
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

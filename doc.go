@@ -146,13 +146,16 @@
 //     read buffers pool across solves, worker crews park between
 //     passes, and a pass in steady state allocates nothing.
 //   - BackendPeel and BackendMapReduce load the file through
-//     ReadUndirectedFile/ReadDirectedFile. For a text file, workers
-//     tokenize byte ranges and labels intern in file order. For a
-//     binary file, the integer ids are relabelled in first-seen order
-//     through an integer remap, with no label strings: LabelMap renders
-//     a label only when asked. Either way the edges land in one buffer
-//     that the builder turns into CSR by counting sort, and the graph
-//     is bit-identical to a sequential parse of the text form.
+//     ReadUndirectedFile/ReadDirectedFile. Workers parse byte ranges
+//     of a text file. When every label is a canonical integer ("0" or
+//     digits without a leading zero, at most MaxInt32 — SNAP dumps),
+//     the labels are parsed straight to int32 and relabelled in
+//     first-seen order through an integer remap, with no label
+//     strings: LabelMap renders a label only when asked. Any other text
+//     file interns its label strings in file order. A binary file
+//     takes the integer remap too. Either way the edges land in one
+//     buffer that the builder turns into CSR by counting sort, and the
+//     graph is bit-identical to a sequential parse of the text form.
 //   - BackendMapReduce additionally bounds its resident footprint:
 //     with MRConfig.SpillBytes > 0 (CLI: -spill-mb), dataset
 //     partitions past the budget spill to per-partition binary files

@@ -145,8 +145,10 @@ func skipASCIISpace(b []byte, i int) int {
 // parseNodeID parses a run of decimal digits starting at i, bounded to
 // int32. ok is false (triggering the string fallback) on an empty run,
 // overflow, or a leading sign — the slow path accepts "+5" and rejects
-// negatives with the canonical error text.
-func parseNodeID(b []byte, i int) (id int32, end int, ok bool) {
+// negatives with the canonical error text. With canonical set, a run
+// with a leading zero ("007") is refused too: the accepted runs are
+// then exactly strconv.Itoa of their value.
+func parseNodeID(b []byte, i int, canonical bool) (id int32, end int, ok bool) {
 	start := i
 	var n int64
 	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
@@ -156,10 +158,76 @@ func parseNodeID(b []byte, i int) (id int32, end int, ok bool) {
 		}
 		i++
 	}
-	if i == start {
+	if i == start || (canonical && b[start] == '0' && i-start > 1) {
 		return 0, i, false
 	}
 	return int32(n), i, true
+}
+
+// scanEdgeFields is the allocation-free tokenizer behind the byte-slice
+// parsers. skip is true for blank and '#'/'%' comment lines. For an
+// edge line it returns the two leading ids and the third field (nil
+// when absent; later fields are ignored, as strings.Fields-based
+// parsing ignores them). ok is false for any line it cannot read
+// exactly as strings.Fields would — a missing field, a sign, overflow,
+// a non-ASCII separator — and, with canonical, for a leading zero.
+func scanEdgeFields(b []byte, canonical bool) (u, v int32, third []byte, skip, ok bool) {
+	i := skipASCIISpace(b, 0)
+	if i == len(b) || b[i] == '#' || b[i] == '%' {
+		return 0, 0, nil, true, true
+	}
+	if u, i, ok = parseNodeID(b, i, canonical); !ok {
+		return 0, 0, nil, false, false
+	}
+	j := skipASCIISpace(b, i)
+	if j == i || j == len(b) {
+		// No separator after the first field, or only one field.
+		return 0, 0, nil, false, false
+	}
+	if v, j, ok = parseNodeID(b, j, canonical); !ok || (j < len(b) && !isASCIISpace(b[j])) {
+		return 0, 0, nil, false, false
+	}
+	if k := skipASCIISpace(b, j); k < len(b) {
+		end := k
+		for end < len(b) && !isASCIISpace(b[end]) {
+			end++
+		}
+		third = b[k:end]
+	}
+	return u, v, third, false, true
+}
+
+// parseWeight parses a weight field. Its string argument does not
+// escape strconv.ParseFloat, so the conversion stays off the heap for
+// ordinary weight tokens.
+func parseWeight(field []byte) (float64, bool) {
+	w, err := strconv.ParseFloat(string(field), 64)
+	return w, err == nil && w > 0 && !math.IsInf(w, 0)
+}
+
+// ParseCanonicalLine parses one raw text line of the "u v [w]" format
+// for the label-preserving graph loaders, without allocating. ok is
+// true only when the line reads the same as under the strings.Fields
+// parsing those loaders fall back to: a blank or '#'/'%' comment line
+// (skip), or two canonical integer labels separated by ASCII spaces
+// and, when weighted, an optional third column that parses as a
+// positive finite float (w is 1 otherwise). Self loops set skip. Any
+// other line — a non-canonical label such as "007", "+5" or "n3", a
+// label past MaxInt32, a non-ASCII separator, a bad weight or a
+// malformed line — returns ok false and is the caller's cue to parse
+// the input as strings.
+func ParseCanonicalLine(b []byte, weighted bool) (u, v int32, w float64, skip, ok bool) {
+	u, v, third, skip, ok := scanEdgeFields(b, true)
+	if !ok || skip {
+		return 0, 0, 0, skip, ok
+	}
+	w = 1
+	if weighted && third != nil {
+		if w, ok = parseWeight(third); !ok {
+			return 0, 0, 0, false, false
+		}
+	}
+	return u, v, w, u == v, true
 }
 
 // parseEdgeLineBytes is parseEdgeLine over a byte slice: the hot path
@@ -168,61 +236,30 @@ func parseNodeID(b []byte, i int) (id int32, end int, ok bool) {
 // signs, overflow, malformed fields, exotic whitespace — falls back to
 // the string parser so semantics and error text stay identical.
 func parseEdgeLineBytes(b []byte) (e Edge, skip bool, err error) {
-	i := skipASCIISpace(b, 0)
-	if i == len(b) || b[i] == '#' || b[i] == '%' {
-		return Edge{}, true, nil
-	}
-	u, i, ok := parseNodeID(b, i)
+	u, v, _, skip, ok := scanEdgeFields(b, false)
 	if !ok {
 		return parseEdgeLine(string(b))
 	}
-	j := skipASCIISpace(b, i)
-	if j == i || j == len(b) {
-		// No separator after the first field, or only one field.
-		return parseEdgeLine(string(b))
-	}
-	v, j, ok := parseNodeID(b, j)
-	if !ok || (j < len(b) && !isASCIISpace(b[j])) {
-		return parseEdgeLine(string(b))
-	}
-	// Any further fields are ignored, as strings.Fields-based parsing
-	// ignores them.
-	if u == v {
+	if skip || u == v {
 		return Edge{}, true, nil
 	}
 	return Edge{U: u, V: v}, false, nil
 }
 
 // parseWeightedEdgeLineBytes is parseWeightedEdgeLine over a byte
-// slice. The weight still goes through strconv.ParseFloat for exact
-// parsing semantics; its argument does not escape, so the conversion
-// stays off the heap for ordinary weight tokens.
+// slice; the weight still goes through strconv.ParseFloat for exact
+// parsing semantics.
 func parseWeightedEdgeLineBytes(b []byte) (e WeightedEdge, skip bool, err error) {
-	i := skipASCIISpace(b, 0)
-	if i == len(b) || b[i] == '#' || b[i] == '%' {
-		return WeightedEdge{}, true, nil
-	}
-	u, i, ok := parseNodeID(b, i)
+	u, v, third, skip, ok := scanEdgeFields(b, false)
 	if !ok {
 		return parseWeightedEdgeLine(string(b))
 	}
-	j := skipASCIISpace(b, i)
-	if j == i || j == len(b) {
-		return parseWeightedEdgeLine(string(b))
-	}
-	v, j, ok := parseNodeID(b, j)
-	if !ok || (j < len(b) && !isASCIISpace(b[j])) {
-		return parseWeightedEdgeLine(string(b))
+	if skip {
+		return WeightedEdge{}, true, nil
 	}
 	w := 1.0
-	if k := skipASCIISpace(b, j); k < len(b) {
-		end := k
-		for end < len(b) && !isASCIISpace(b[end]) {
-			end++
-		}
-		var werr error
-		w, werr = strconv.ParseFloat(string(b[k:end]), 64)
-		if werr != nil || w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+	if third != nil {
+		if w, ok = parseWeight(third); !ok {
 			// Reproduce the canonical error text (or, for weird inputs
 			// ParseFloat accepts differently, the canonical verdict).
 			return parseWeightedEdgeLine(string(b))

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -190,12 +191,123 @@ func TestWeightedFileShards(t *testing.T) {
 	}
 }
 
+// TestFileShardLineBound checks LineBound bounds the lines each shard
+// then yields, for every shard count, and leaves the shard able to scan
+// its lines after a Reset.
+func TestFileShardLineBound(t *testing.T) {
+	long := strings.Repeat("9", 70000) // longer than the read buffer
+	contents := []string{
+		"0 1\n1 2\n2 3\n3 4\n4 5\n",
+		"# header\n0 1\n\n1 2\r\n% c\n2 3",
+		"\n\n\n",
+		"",
+		"0 " + long + "\n" + long + " 1\n1 2\n",
+	}
+	for ci, content := range contents {
+		src := writeFile(t, content)
+		for k := 1; k <= 9; k++ {
+			total := 0
+			for i, sh := range src.FileShards(k) {
+				bound, err := sh.LineBound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sh.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				lines := 0
+				for {
+					_, _, err := sh.NextLineBytes()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					lines++
+				}
+				sh.Close()
+				if lines > bound {
+					t.Fatalf("content %d k=%d shard %d: %d lines, bound %d", ci, k, i, lines, bound)
+				}
+				total += bound
+			}
+			if want := strings.Count(content, "\n") + k; total > want {
+				t.Fatalf("content %d k=%d: bounds sum to %d, want at most %d", ci, k, total, want)
+			}
+		}
+	}
+}
+
+// TestParseCanonicalLine checks which lines the label-preserving fast
+// path accepts and what it reads from them.
+func TestParseCanonicalLine(t *testing.T) {
+	cases := []struct {
+		line     string
+		weighted bool
+		u, v     int32
+		w        float64
+		skip, ok bool
+	}{
+		{"0 1", false, 0, 1, 1, false, true},
+		{"\t12\t34 extra\r", false, 12, 34, 1, false, true},
+		{"2147483647 0", false, 2147483647, 0, 1, false, true},
+		{"5 5", false, 5, 5, 1, true, true},
+		{"", false, 0, 0, 0, true, true},
+		{"  # 007 x", false, 0, 0, 0, true, true},
+		{"% c", true, 0, 0, 0, true, true},
+		{"1 2 0.5", true, 1, 2, 0.5, false, true},
+		{"1 2 0.5", false, 1, 2, 1, false, true},
+		{"1 2", true, 1, 2, 1, false, true},
+		{"1 2 x", false, 1, 2, 1, false, true},
+		{"007 1", false, 0, 0, 0, false, false},
+		{"1 00", false, 0, 0, 0, false, false},
+		{"+1 2", false, 0, 0, 0, false, false},
+		{"-1 2", false, 0, 0, 0, false, false},
+		{"2147483648 1", false, 0, 0, 0, false, false},
+		{"1x 2", false, 0, 0, 0, false, false},
+		{"1 2x", false, 0, 0, 0, false, false},
+		{"1\u00a02", false, 0, 0, 0, false, false},
+		{"1", false, 0, 0, 0, false, false},
+		{"1 2 x", true, 0, 0, 0, false, false},
+		{"1 2 0", true, 0, 0, 0, false, false},
+		{"1 2 NaN", true, 0, 0, 0, false, false},
+		{"1 2 Inf", true, 0, 0, 0, false, false},
+		{"5 5 -1", true, 0, 0, 0, false, false},
+	}
+	for _, tc := range cases {
+		u, v, w, skip, ok := ParseCanonicalLine([]byte(tc.line), tc.weighted)
+		if ok != tc.ok || skip != tc.skip || (ok && !skip && (u != tc.u || v != tc.v || w != tc.w)) {
+			t.Errorf("ParseCanonicalLine(%q, %v) = %d %d %v skip=%v ok=%v, want %d %d %v skip=%v ok=%v",
+				tc.line, tc.weighted, u, v, w, skip, ok, tc.u, tc.v, tc.w, tc.skip, tc.ok)
+		}
+	}
+}
+
+// TestBytesScanned checks the byte tally counts a full scan, a scan cut
+// short by Close, and a LineBound pass.
 func TestBytesScanned(t *testing.T) {
 	content := "0 1\n# comment\n1 2\n"
 	src := writeFile(t, content)
 	drainReader(t, src.SequentialReader())
 	if got := src.BytesScanned(); got != int64(len(content)) {
 		t.Fatalf("BytesScanned = %d, want %d", got, len(content))
+	}
+	sh := src.SequentialReader()
+	if _, err := sh.Next(); err != nil {
+		t.Fatal(err)
+	}
+	sh.Close()
+	if got, want := src.BytesScanned(), int64(len(content)+len("0 1\n")); got != want {
+		t.Fatalf("after a cut scan BytesScanned = %d, want %d", got, want)
+	}
+	sh = src.SequentialReader()
+	if _, err := sh.LineBound(); err != nil {
+		t.Fatal(err)
+	}
+	sh.Close()
+	if got, want := src.BytesScanned(), int64(2*len(content)+len("0 1\n")); got != want {
+		t.Fatalf("after LineBound BytesScanned = %d, want %d", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package edgeio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -158,30 +159,25 @@ type FileShard struct {
 	// across lines and passes so the scan loop stays allocation-free.
 	scratch []byte
 	off     int64 // offset of the next unread byte
+	// counted is the offset up to which this shard's reads are in the
+	// source's byte tally: the scan adds them in one step when it ends
+	// (at EOF, Reset or Close), not one contended atomic add per line.
+	counted int64
 	done    bool
 	closed  bool
+	// The shards of one FileShards call share a backing array and
+	// write off on every line; the pad keeps each shard's fields off
+	// its neighbours' cache lines.
+	_ [64]byte
 }
 
 // Reset implements Reader: it (re)positions the shard at its first
 // owned line, opening the file handle on first use. Errors from the
 // open, the seek, and the resync read are all reported.
 func (sh *FileShard) Reset() error {
-	if sh.closed {
-		return fmt.Errorf("edgeio: Reset on closed shard of %s", sh.src.path)
+	if err := sh.seekLo("Reset"); err != nil {
+		return err
 	}
-	if sh.sr == nil {
-		f, err := sh.src.acquire()
-		if err != nil {
-			return err
-		}
-		sh.sr = io.NewSectionReader(f, 0, 1<<62)
-		sh.rd = readerPool.Get().(*bufio.Reader)
-	}
-	if _, err := sh.sr.Seek(sh.lo, io.SeekStart); err != nil {
-		return fmt.Errorf("edgeio: rewinding %s: %w", sh.src.path, err)
-	}
-	sh.rd.Reset(sh.sr)
-	sh.off = sh.lo
 	// A zero-width range owns no lines: without this, a degenerate
 	// [0, 0) shard would claim the line at offset 0 alongside the
 	// shard that really covers it.
@@ -195,7 +191,6 @@ func (sh *FileShard) Reset() error {
 		for {
 			skipped, err := sh.rd.ReadSlice('\n')
 			sh.off += int64(len(skipped))
-			sh.src.bytes.Add(int64(len(skipped)))
 			if err == bufio.ErrBufferFull {
 				continue
 			}
@@ -210,6 +205,69 @@ func (sh *FileShard) Reset() error {
 	return nil
 }
 
+// seekLo positions the shard's reader at byte lo, opening the file
+// handle and taking a read buffer on first use. The previous scan's
+// bytes are tallied first.
+func (sh *FileShard) seekLo(op string) error {
+	if sh.closed {
+		return fmt.Errorf("edgeio: %s on closed shard of %s", op, sh.src.path)
+	}
+	if sh.sr == nil {
+		f, err := sh.src.acquire()
+		if err != nil {
+			return err
+		}
+		sh.sr = io.NewSectionReader(f, 0, 1<<62)
+		sh.rd = readerPool.Get().(*bufio.Reader)
+	}
+	if _, err := sh.sr.Seek(sh.lo, io.SeekStart); err != nil {
+		return fmt.Errorf("edgeio: rewinding %s: %w", sh.src.path, err)
+	}
+	sh.rd.Reset(sh.sr)
+	sh.tally()
+	sh.off, sh.counted = sh.lo, sh.lo
+	return nil
+}
+
+// tally adds the bytes read since the last tally to the source's count.
+func (sh *FileShard) tally() {
+	if sh.off != sh.counted {
+		sh.src.bytes.Add(sh.off - sh.counted)
+		sh.counted = sh.off
+	}
+}
+
+// LineBound returns an upper bound on the number of lines the shard
+// owns: every owned line but the one at offset 0 starts right after a
+// newline in [lo, hi), so the bound is those newlines plus one. It
+// reads the byte range once, allocating nothing, so a caller can size
+// a buffer for the lines before parsing them. The shard must be Reset
+// before its lines are read.
+func (sh *FileShard) LineBound() (int, error) {
+	if err := sh.seekLo("LineBound"); err != nil {
+		return 0, err
+	}
+	// Leave the reader unusable for NextLineBytes until the next Reset.
+	sh.done = true
+	n := 1
+	for left := sh.hi - sh.lo; left > 0; {
+		b, err := sh.rd.Peek(int(min(left, int64(sh.rd.Size()))))
+		n += bytes.Count(b, newline)
+		sh.rd.Discard(len(b))
+		sh.src.bytes.Add(int64(len(b)))
+		left -= int64(len(b))
+		if err == io.EOF {
+			break // the file shrank since it was opened
+		}
+		if err != nil {
+			return 0, fmt.Errorf("edgeio: reading %s: %w", sh.src.path, err)
+		}
+	}
+	return n, nil
+}
+
+var newline = []byte{'\n'}
+
 // NextLine returns the next raw owned line (with its terminator
 // stripped; a trailing '\r' from CRLF input is kept for the caller's
 // TrimSpace) and the byte offset at which it starts, or io.EOF when the
@@ -217,15 +275,15 @@ func (sh *FileShard) Reset() error {
 // too — NextLine is the layer below edge parsing, used by the parallel
 // graph loaders.
 func (sh *FileShard) NextLine() (string, int64, error) {
-	line, start, err := sh.nextLineBytes()
+	line, start, err := sh.NextLineBytes()
 	return string(line), start, err
 }
 
-// nextLineBytes is NextLine without the string copy: the returned slice
+// NextLineBytes is NextLine without the string copy: the returned slice
 // aliases the shard's read buffer (or its long-line scratch) and is
 // valid only until the next read. It is the allocation-free layer the
 // edge parsers scan through.
-func (sh *FileShard) nextLineBytes() ([]byte, int64, error) {
+func (sh *FileShard) NextLineBytes() ([]byte, int64, error) {
 	if sh.closed {
 		return nil, 0, fmt.Errorf("edgeio: NextLine on closed shard of %s", sh.src.path)
 	}
@@ -235,6 +293,7 @@ func (sh *FileShard) nextLineBytes() ([]byte, int64, error) {
 		}
 	}
 	if sh.done || sh.off > sh.hi {
+		sh.tally()
 		return nil, 0, io.EOF
 	}
 	start := sh.off
@@ -250,10 +309,10 @@ func (sh *FileShard) nextLineBytes() ([]byte, int64, error) {
 		line = sh.scratch
 	}
 	sh.off += int64(len(line))
-	sh.src.bytes.Add(int64(len(line)))
 	if err == io.EOF {
 		sh.done = true
 		if len(line) == 0 {
+			sh.tally()
 			return nil, 0, io.EOF
 		}
 	} else if err != nil {
@@ -269,7 +328,7 @@ func (sh *FileShard) nextLineBytes() ([]byte, int64, error) {
 // comments, blanks, and self loops.
 func (sh *FileShard) Next() (Edge, error) {
 	for {
-		line, start, err := sh.nextLineBytes()
+		line, start, err := sh.NextLineBytes()
 		if err != nil {
 			return Edge{}, err
 		}
@@ -292,6 +351,7 @@ func (sh *FileShard) Close() error {
 		return nil
 	}
 	sh.closed = true
+	sh.tally()
 	if sh.rd != nil {
 		sh.rd.Reset(nil)
 		readerPool.Put(sh.rd)
@@ -315,7 +375,7 @@ func (w weightedShard) Reset() error { return w.sh.Reset() }
 // Next implements WeightedReader, parsing "u v [w]" lines.
 func (w weightedShard) Next() (WeightedEdge, error) {
 	for {
-		line, start, err := w.sh.nextLineBytes()
+		line, start, err := w.sh.NextLineBytes()
 		if err != nil {
 			return WeightedEdge{}, err
 		}

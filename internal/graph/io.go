@@ -19,11 +19,13 @@ import (
 // spaces or tabs.
 
 // LabelMap records the mapping between external node labels and the dense
-// internal ids produced by the parsers. A map from a text load holds the
-// interned label strings. A map from a BSG1 load holds only the file's
+// internal ids produced by the parsers. A map from a text load whose
+// labels are all canonical integers ("0" or digits without a leading
+// zero, at most MaxInt32), and a map from a BSG1 load, hold only the
 // integer ids: Label formats an id when called, and the first Lookup or
 // ID builds the string index (so, like ID, that first Lookup must not
-// run concurrently with other calls).
+// run concurrently with other calls). A map from any other text load
+// holds the interned label strings.
 type LabelMap struct {
 	toID   map[string]int32 // nil until first needed for a BSG1 map
 	labels []string
@@ -161,16 +163,20 @@ func ReadDirected(r io.Reader) (*Directed, *LabelMap, error) {
 }
 
 // WriteUndirected emits the graph in the text edge-list format (one "u v"
-// or "u v w" line per edge, u < v) using dense ids as labels.
+// or "u v w" line per edge, u < v) using dense ids as labels. Weights are
+// written in the shortest form that parses back to the same float64, as
+// fmt's %g does.
 func WriteUndirected(w io.Writer, g *Undirected) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	var werr error
 	g.Edges(func(u, v int32, wt float64) bool {
+		line = appendEdgePair(line[:0], u, v)
 		if g.Weighted() {
-			_, werr = fmt.Fprintf(bw, "%d\t%d\t%g\n", u, v, wt)
-		} else {
-			_, werr = fmt.Fprintf(bw, "%d\t%d\n", u, v)
+			line = strconv.AppendFloat(append(line, '\t'), wt, 'g', -1, 64)
 		}
+		line = append(line, '\n')
+		_, werr = bw.Write(line)
 		return werr == nil
 	})
 	if werr != nil {
@@ -182,13 +188,21 @@ func WriteUndirected(w io.Writer, g *Undirected) error {
 // WriteDirected emits the directed graph in the text edge-list format.
 func WriteDirected(w io.Writer, g *Directed) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	var werr error
 	g.Edges(func(u, v int32) bool {
-		_, werr = fmt.Fprintf(bw, "%d\t%d\n", u, v)
+		line = append(appendEdgePair(line[:0], u, v), '\n')
+		_, werr = bw.Write(line)
 		return werr == nil
 	})
 	if werr != nil {
 		return werr
 	}
 	return bw.Flush()
+}
+
+// appendEdgePair appends "u\tv", the start of an edge line, to b.
+func appendEdgePair(b []byte, u, v int32) []byte {
+	b = strconv.AppendInt(b, int64(u), 10)
+	return strconv.AppendInt(append(b, '\t'), int64(v), 10)
 }

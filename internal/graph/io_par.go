@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"densestream/internal/edgeio"
 	"densestream/internal/par"
@@ -14,23 +15,133 @@ import (
 
 // Sharded file loading: the expensive part of parsing an edge list —
 // line splitting, field tokenizing, weight parsing — runs on byte-range
-// shards of the file through the edgeio layer, while label interning
-// (inherently first-seen order) folds the shards' raw edges back in
-// shard order. Because the shards together yield exactly the file's
-// lines in order, the interned ids, the builder's edge order, and
-// therefore the frozen graph are bit-identical to the sequential
-// ReadUndirected/ReadDirected on the same bytes.
+// shards of the file through the edgeio layer, and the shards' edges
+// are relabelled to dense ids in shard (= file) order. Because the
+// shards together yield exactly the file's lines in order, the dense
+// ids, the builder's edge order, and therefore the frozen graph are
+// bit-identical to the sequential ReadUndirected/ReadDirected on the
+// same bytes.
+//
+// A file whose every line edgeio.ParseCanonicalLine accepts — SNAP-style
+// canonical integer labels, the common case — never builds a label
+// string: the shards parse the labels into int32 straight from the
+// read buffer and the fold relabels them through the integer remap of
+// the BSG1 loader. A canonical label is exactly strconv.Itoa of its
+// value, so this is the string interning under another key. The first
+// line the fast path cannot read abandons it for the whole file, and
+// the string path below reparses every line as the sequential reader
+// would.
 
-// rawEdge is one tokenized-but-uninterned edge line. The label strings
-// alias the shard's line buffers; they are only retained until
-// interning copies them into the LabelMap.
+// rawEdge is one tokenized-but-uninterned edge line of the string path,
+// which runs only on files the canonical-integer fast path gave up on.
+// The label strings alias the shard's line buffers; they are only
+// retained until interning copies them into the LabelMap.
 type rawEdge struct {
 	u, v string
 	w    float64
 }
 
-// scanFileSharded tokenizes the file's edge lines across workers,
-// returning the per-shard raw edges in shard (= file) order. Any parse
+// scanCanonical is the fast path of the text loaders. It sizes one edge
+// buffer by the shards' line bounds, has every shard parse its lines
+// into its own region of it, and folds the regions in file order
+// through a remap keyed on the largest label + 1, compacting the
+// buffer in place. ok is false when any line is not canonical (or any
+// read fails); the caller then takes the string path for the whole
+// file.
+func scanCanonical(path string, weighted bool, workers int) (lm *LabelMap, edges []Edge, ok bool) {
+	src, err := edgeio.OpenFileSource(path)
+	if err != nil {
+		return nil, nil, false
+	}
+	shards := src.FileShards(par.Clamp(workers))
+	defer func() {
+		for _, sh := range shards {
+			sh.Close()
+		}
+	}()
+	// off[i] is where shard i's region starts; off[len(shards)] is the
+	// bound on the file's lines.
+	off := make([]int, len(shards)+1)
+	count := make([]int, len(shards))
+	maxID := make([]int32, len(shards))
+	var failed atomic.Bool
+	pool := par.New(workers)
+	pool.RunTasks(len(shards), func(i int) {
+		n, err := shards[i].LineBound()
+		if err != nil {
+			failed.Store(true)
+		}
+		off[i+1] = n
+	})
+	if failed.Load() {
+		return nil, nil, false
+	}
+	for i := range shards {
+		off[i+1] += off[i]
+	}
+	edges = make([]Edge, off[len(shards)])
+	pool.RunTasks(len(shards), func(i int) {
+		var ok bool
+		count[i], maxID[i], ok = scanCanonicalShard(shards[i], weighted, edges[off[i]:off[i+1]], &failed)
+		if !ok {
+			failed.Store(true)
+		}
+	})
+	if failed.Load() {
+		return nil, nil, false
+	}
+	total, top := 0, int32(-1)
+	for i := range shards {
+		total += count[i]
+		top = max(top, maxID[i])
+	}
+	dense := newRemap(int(top)+1, int64(total))
+	k := 0
+	for i := range shards {
+		for _, e := range edges[off[i] : off[i]+count[i]] {
+			edges[k] = Edge{U: dense.id(e.U), V: dense.id(e.V), Weight: e.Weight}
+			k++
+		}
+	}
+	return &LabelMap{ids: dense.ids}, edges[:k], true
+}
+
+// scanCanonicalShard parses one shard's lines into out, returning the
+// edge count and the largest label seen (-1 for none). ok is false on
+// the first line ParseCanonicalLine rejects, on a read error, once
+// another shard has failed, or if the lines outnumber out (the file
+// grew since it was sized).
+func scanCanonicalShard(sh *edgeio.FileShard, weighted bool, out []Edge, failed *atomic.Bool) (n int, maxID int32, ok bool) {
+	if err := sh.Reset(); err != nil {
+		return 0, 0, false
+	}
+	maxID = -1
+	for !failed.Load() {
+		line, _, err := sh.NextLineBytes()
+		if err == io.EOF {
+			return n, maxID, true
+		}
+		if err != nil {
+			return 0, 0, false
+		}
+		u, v, w, skip, ok := edgeio.ParseCanonicalLine(line, weighted)
+		if !ok || n == len(out) {
+			return 0, 0, false
+		}
+		if skip {
+			continue
+		}
+		out[n] = Edge{U: u, V: v, Weight: w}
+		n++
+		maxID = max(maxID, u, v)
+	}
+	return 0, 0, false
+}
+
+// scanFileSharded is the string path: it tokenizes the file's edge
+// lines across workers, returning the per-shard raw edges in shard
+// (= file) order. The loaders call it only after scanCanonical gave up
+// on the file, so it sees every line again, canonical or not. Any parse
 // error is returned as-is; callers fall back to the sequential reader,
 // which reports the canonical *ParseError with a line number.
 func scanFileSharded(path string, weighted bool, workers int) ([][]rawEdge, error) {
@@ -96,19 +207,23 @@ func scanFileSharded(path string, weighted bool, workers int) ([][]rawEdge, erro
 }
 
 // ReadUndirectedFile parses an undirected edge-list file with the line
-// scan sharded across workers (the sequential ReadUndirected is the
-// fallback on any parse error, so error reporting keeps its line
-// numbers). Output is bit-identical to ReadUndirected on the same
-// bytes for every worker count.
+// scan sharded across workers. Canonical integer labels take the
+// integer remap; any other file interns label strings (and the
+// sequential ReadUndirected is the fallback on any parse error, so
+// error reporting keeps its line numbers). Output is bit-identical to
+// ReadUndirected on the same bytes for every worker count.
 func ReadUndirectedFile(path string, weighted bool, workers int) (*Undirected, *LabelMap, error) {
 	if isBin, err := edgeio.DetectBinary(path); err == nil && isBin {
 		return readUndirectedBinary(path, weighted)
 	}
-	sharded, err := scanFileSharded(path, weighted, workers)
-	if err != nil {
-		return readUndirectedSeq(path, weighted)
+	lm, edges, ok := scanCanonical(path, weighted, workers)
+	if !ok {
+		sharded, err := scanFileSharded(path, weighted, workers)
+		if err != nil {
+			return readUndirectedSeq(path, weighted)
+		}
+		lm, edges = internShards(sharded)
 	}
-	lm, edges := internShards(sharded)
 	g, err := (&Builder{n: lm.Len(), edges: edges, weighted: weighted}).Freeze()
 	if err != nil {
 		return nil, nil, err
@@ -121,11 +236,14 @@ func ReadDirectedFile(path string, workers int) (*Directed, *LabelMap, error) {
 	if isBin, err := edgeio.DetectBinary(path); err == nil && isBin {
 		return readDirectedBinary(path)
 	}
-	sharded, err := scanFileSharded(path, false, workers)
-	if err != nil {
-		return readDirectedSeq(path)
+	lm, edges, ok := scanCanonical(path, false, workers)
+	if !ok {
+		sharded, err := scanFileSharded(path, false, workers)
+		if err != nil {
+			return readDirectedSeq(path)
+		}
+		lm, edges = internShards(sharded)
 	}
-	lm, edges := internShards(sharded)
 	g, err := (&DirectedBuilder{n: lm.Len(), edges: edges}).Freeze()
 	if err != nil {
 		return nil, nil, err

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -141,6 +143,62 @@ func TestWriteReadRoundTripDirected(t *testing.T) {
 	}
 	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip: n=%d m=%d", g2.NumNodes(), g2.NumEdges())
+	}
+}
+
+// TestWriteMatchesFmt checks the writers emit exactly the bytes of
+// fmt's "%d\t%d\n" and "%d\t%d\t%g\n" lines, weights included.
+func TestWriteMatchesFmt(t *testing.T) {
+	weights := []float64{1e+06, 0.1, 3, 2.5, 1e-07, 123456.789, 1e21, 5e-324, math.MaxFloat64, 1.0 / 3}
+	b := NewBuilder(len(weights) + 1)
+	for i, w := range weights {
+		if err := b.AddWeightedEdge(int32(i), int32(i+1), w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	wg.Edges(func(u, v int32, w float64) bool {
+		fmt.Fprintf(&want, "%d\t%d\t%g\n", u, v, w)
+		return true
+	})
+	var got bytes.Buffer
+	if err := WriteUndirected(&got, wg); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("weighted:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+
+	g := freezeUndirected(t, 2000, randomEdges(2000, 20000, 4), false)
+	want.Reset()
+	g.Edges(func(u, v int32, _ float64) bool {
+		fmt.Fprintf(&want, "%d\t%d\n", u, v)
+		return true
+	})
+	got.Reset()
+	if err := WriteUndirected(&got, g); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatal("unweighted output differs from fmt")
+	}
+
+	d := freezeDirected(t, 2000, randomEdges(2000, 20000, 6))
+	want.Reset()
+	d.Edges(func(u, v int32) bool {
+		fmt.Fprintf(&want, "%d\t%d\n", u, v)
+		return true
+	})
+	got.Reset()
+	if err := WriteDirected(&got, d); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatal("directed output differs from fmt")
 	}
 }
 
