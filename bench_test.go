@@ -129,6 +129,16 @@ func BenchmarkAblation_ExactVsApprox(b *testing.B) {
 
 // --- micro-benchmarks of the primitives ---
 
+// benchSolve runs one Solve and fails the benchmark on error.
+func benchSolve(b *testing.B, p ds.Problem, opts ...ds.Option) *ds.Solution {
+	b.Helper()
+	sol, err := ds.Solve(context.Background(), p, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sol
+}
+
 func benchGraph(b *testing.B) *ds.UndirectedGraph {
 	b.Helper()
 	g, _, err := ds.GeneratePlantedDense(20000, 160000, 2.1, 120, 0.8, 1)
@@ -144,9 +154,7 @@ func BenchmarkPeelUndirected(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Undirected(g, 1); err != nil {
-			b.Fatal(err)
-		}
+		benchSolve(b, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 1, Graph: g})
 	}
 	b.SetBytes(g.NumEdges() * 8)
 }
@@ -157,9 +165,7 @@ func BenchmarkGreedyPeel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Greedy(g); err != nil {
-			b.Fatal(err)
-		}
+		benchSolve(b, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g})
 	}
 	b.SetBytes(g.NumEdges() * 8)
 }
@@ -172,9 +178,7 @@ func BenchmarkExactFlow(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Exact(g); err != nil {
-			b.Fatal(err)
-		}
+		benchSolve(b, ds.Problem{Objective: ds.ObjectiveExact, Graph: g})
 	}
 }
 
@@ -187,9 +191,7 @@ func BenchmarkDirectedPeel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Directed(g, 1, 1); err != nil {
-			b.Fatal(err)
-		}
+		benchSolve(b, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendPeel, C: 1, Eps: 1, Directed: g})
 	}
 	b.SetBytes(g.NumEdges() * 8)
 }
@@ -202,28 +204,20 @@ func BenchmarkStreamingPeel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Streaming(es, 1); err != nil {
-			b.Fatal(err)
-		}
+		benchSolve(b, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 1, Edges: es})
 	}
 	b.SetBytes(g.NumEdges() * 8)
 }
 
 // BenchmarkSketchUpdate measures raw Count-Sketch update throughput.
 func BenchmarkSketchUpdate(b *testing.B) {
-	r, _, err := ds.StreamingSketched(ds.StreamGraph(benchGraph(b)), 1,
-		ds.SketchConfig{Tables: 5, Buckets: 1000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = r
+	sk := ds.WithSketch(ds.SketchConfig{Tables: 5, Buckets: 1000, Seed: 1})
+	benchSolve(b, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStreamSketched, Eps: 1, Edges: ds.StreamGraph(benchGraph(b))}, sk)
 	// The full sketched run above warms the path; now measure per-update.
 	dcStream := ds.StreamGraph(benchGraph(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ds.StreamingSketched(dcStream, 1, ds.SketchConfig{Tables: 5, Buckets: 1000, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
+		benchSolve(b, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStreamSketched, Eps: 1, Edges: dcStream}, sk)
 	}
 }
 
@@ -247,9 +241,7 @@ func BenchmarkParallelPeel(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(g.NumEdges() * 8)
 			for i := 0; i < b.N; i++ {
-				if _, err := ds.Undirected(g, 1, ds.WithWorkers(workers)); err != nil {
-					b.Fatal(err)
-				}
+				benchSolve(b, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 1, Graph: g}, ds.WithWorkers(workers))
 			}
 		})
 	}
@@ -269,9 +261,7 @@ func BenchmarkParallelStreamingPeel(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(g.NumEdges() * 8)
 			for i := 0; i < b.N; i++ {
-				if _, err := ds.Streaming(es, 1, ds.WithWorkers(workers)); err != nil {
-					b.Fatal(err)
-				}
+				benchSolve(b, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 1, Edges: es}, ds.WithWorkers(workers))
 			}
 		})
 	}
@@ -432,12 +422,9 @@ func BenchmarkMapReduceSpill(b *testing.B) {
 			b.SetBytes(g.NumEdges() * 8)
 			var spilled int64
 			for i := 0; i < b.N; i++ {
-				r, err := ds.MapReduce(g, 1, ds.WithMapReduceConfig(
-					ds.MRConfig{Mappers: 4, Reducers: 4, SpillBytes: budget, SpillDir: dir}))
-				if err != nil {
-					b.Fatal(err)
-				}
-				spilled = r.SpilledBytes
+				sol := benchSolve(b, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 1, Graph: g},
+					ds.WithMapReduceConfig(ds.MRConfig{Mappers: 4, Reducers: 4, SpillBytes: budget, SpillDir: dir}))
+				spilled = sol.Stats.BytesSpilled
 			}
 			b.ReportMetric(float64(spilled)/(1<<20), "spilled-MB/run")
 		})
@@ -474,12 +461,10 @@ func BenchmarkMapReducePeel(b *testing.B) {
 			b.SetBytes(g.NumEdges() * 8)
 			var shuffleRecs, shuffleBytes int64
 			for i := 0; i < b.N; i++ {
-				r, err := ds.MapReduce(g, 1, ds.WithMapReduceConfig(cfg))
-				if err != nil {
-					b.Fatal(err)
-				}
+				sol := benchSolve(b, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 1, Graph: g},
+					ds.WithMapReduceConfig(cfg))
 				shuffleRecs, shuffleBytes = 0, 0
-				for _, rd := range r.Rounds {
+				for _, rd := range sol.MRRounds {
 					shuffleRecs += rd.Shuffle
 					shuffleBytes += rd.ShuffleBytes
 				}
@@ -508,13 +493,13 @@ func BenchmarkMapReduceCheckpoint(b *testing.B) {
 			dir := b.TempDir()
 			var ckBytes, ckWrites int64
 			for i := 0; i < b.N; i++ {
-				r, err := ds.MapReduce(g, 1, ds.WithMapReduceConfig(
-					ds.MRConfig{Mappers: 4, Reducers: 4, CheckpointEvery: every, CheckpointDir: dir}))
-				if err != nil {
-					b.Fatal(err)
+				sol := benchSolve(b, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 1, Graph: g},
+					ds.WithMapReduceConfig(ds.MRConfig{Mappers: 4, Reducers: 4, CheckpointEvery: every, CheckpointDir: dir}))
+				if sol.MRFaults == nil {
+					b.Fatal("checkpointed run reports no checkpoints")
 				}
-				ckBytes = r.Faults.CheckpointBytes
-				ckWrites = r.Faults.CheckpointsWritten
+				ckBytes = sol.MRFaults.CheckpointBytes
+				ckWrites = sol.MRFaults.CheckpointsWritten
 			}
 			b.ReportMetric(float64(ckBytes)/(1<<20), "ckpt-MB/run")
 			b.ReportMetric(float64(ckWrites), "ckpts/run")

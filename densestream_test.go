@@ -2,17 +2,21 @@ package densestream_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	ds "densestream"
+	"densestream/internal/flow"
+	"densestream/internal/gen"
 )
 
-// buildTestGraph returns a K6 (density 2.5) attached to a sparse path.
-func buildTestGraph(t *testing.T) *ds.UndirectedGraph {
+// cliqueOnPath returns a K6 (density 2.5) attached to a sparse path
+// through nodes 5..n-1.
+func cliqueOnPath(t *testing.T, n int) *ds.UndirectedGraph {
 	t.Helper()
-	b := ds.NewBuilder(20)
+	b := ds.NewBuilder(n)
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			if err := b.AddEdge(int32(i), int32(j)); err != nil {
@@ -20,7 +24,7 @@ func buildTestGraph(t *testing.T) *ds.UndirectedGraph {
 			}
 		}
 	}
-	for i := 5; i < 19; i++ {
+	for i := 5; i < n-1; i++ {
 		if err := b.AddEdge(int32(i), int32(i+1)); err != nil {
 			t.Fatal(err)
 		}
@@ -32,126 +36,271 @@ func buildTestGraph(t *testing.T) *ds.UndirectedGraph {
 	return g
 }
 
-func TestPublicAPIPipeline(t *testing.T) {
-	g := buildTestGraph(t)
-
-	exact, err := ds.Exact(g)
-	if err != nil {
-		t.Fatal(err)
+// disjointCliques returns the disjoint union of cliques of the given
+// sizes.
+func disjointCliques(t *testing.T, sizes ...int) *ds.UndirectedGraph {
+	t.Helper()
+	n := 0
+	for _, s := range sizes {
+		n += s
 	}
-	if math.Abs(exact.Density-2.5) > 1e-12 {
-		t.Fatalf("exact = %v, want 2.5", exact.Density)
-	}
-
-	approx, err := ds.Undirected(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if approx.Density < exact.Density/3-1e-9 {
-		t.Fatalf("approx %v below (2+2ε) guarantee of %v", approx.Density, exact.Density)
-	}
-
-	greedy, err := ds.Greedy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if greedy.Density < exact.Density/2-1e-9 {
-		t.Fatalf("greedy %v below 2-approx of %v", greedy.Density, exact.Density)
-	}
-
-	_, coreDensity, err := ds.BestCore(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coreDensity < exact.Density/2-1e-9 {
-		t.Fatalf("best core %v below 2-approx", coreDensity)
-	}
-
-	atLeast, err := ds.AtLeastK(g, 10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(atLeast.Set) < 10 {
-		t.Fatalf("AtLeastK returned %d nodes", len(atLeast.Set))
-	}
-
-	mr, err := ds.MapReduce(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mr.Density-approx.Density) > 1e-9 {
-		t.Fatalf("MapReduce %v != in-memory %v", mr.Density, approx.Density)
-	}
-
-	st, err := ds.Streaming(ds.StreamGraph(g), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(st.Density-approx.Density) > 1e-9 {
-		t.Fatalf("Streaming %v != in-memory %v", st.Density, approx.Density)
-	}
-
-	sk, mem, err := ds.StreamingSketched(ds.StreamGraph(g), 0.5,
-		ds.SketchConfig{Tables: 5, Buckets: 512, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem != 5*512 {
-		t.Fatalf("sketch memory = %d", mem)
-	}
-	if sk.Density < exact.Density/4 {
-		t.Fatalf("sketched density %v collapsed", sk.Density)
-	}
-}
-
-func TestPublicAPIDirected(t *testing.T) {
-	b := ds.NewDirectedBuilder(30)
-	for u := 0; u < 5; u++ {
-		for v := 5; v < 15; v++ {
-			if err := b.AddEdge(int32(u), int32(v)); err != nil {
-				t.Fatal(err)
+	b := ds.NewBuilder(n)
+	base := 0
+	for _, s := range sizes {
+		for i := base; i < base+s; i++ {
+			for j := i + 1; j < base+s; j++ {
+				if err := b.AddEdge(int32(i), int32(j)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	for i := 15; i < 29; i++ {
-		_ = b.AddEdge(int32(i), int32(i+1))
+		base += s
 	}
 	g, err := b.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
 
-	r, err := ds.Directed(g, 0.5, 0.5)
+// allBackends is every backend; each bound table below keeps the ones
+// Problem.Validate accepts for the objective at hand.
+var allBackends = []ds.Backend{ds.BackendPeel, ds.BackendStream, ds.BackendStreamSketched, ds.BackendMapReduce}
+
+// passBound is the paper's pass bound ⌈log_{1+ε} n⌉ + 2 (Lemma 4 and
+// Lemma 11), doubled in the logarithm for the directed peel (Lemma 13).
+func passBound(n int, eps float64, directed bool) int {
+	b := int(math.Ceil(math.Log(float64(n)) / math.Log(1+eps)))
+	if directed {
+		b *= 2
+	}
+	return b + 2
+}
+
+// TestPublicAPIPipeline checks the paper's guarantees through Solve for
+// every undirected objective on every backend Validate accepts, against
+// exact optima that do not share code with the engines: ρ(S̃) ≥
+// OPT/(2+2ε) against max-flow, |S̃| ≥ k and ρ(S̃) ≥ OPT_k/(3+3ε) against
+// brute force, and the O(log_{1+ε} n) pass bound. The sketched backend
+// carries no guarantee and only has to return a set.
+func TestPublicAPIPipeline(t *testing.T) {
+	star, err := gen.Star(12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blockDensity := 50.0 / math.Sqrt(5*10)
-	if r.Density < blockDensity/3-1e-9 {
-		t.Fatalf("directed %v below guarantee of %v", r.Density, blockDensity)
-	}
-
-	sweep, err := ds.DirectedSweep(g, 2, 0.5)
+	regular, err := gen.RegularUnion(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sweep.Best.Density < r.Density-1e-9 {
-		t.Fatalf("sweep %v worse than single c %v", sweep.Best.Density, r.Density)
+	graphs := []struct {
+		name string
+		g    *ds.UndirectedGraph
+	}{
+		{"clique+path", cliqueOnPath(t, 16)},
+		{"star", star},
+		{"regular-union", regular},
+		{"K4+K5", disjointCliques(t, 4, 5)},
+	}
+	sketchCfg := ds.SketchConfig{Tables: 5, Buckets: 512, Seed: 1}
+	ran := map[ds.Objective]map[ds.Backend]bool{}
+	for _, tc := range graphs {
+		g, n := tc.g, tc.g.NumNodes()
+		opt, err := flow.ExactDensest(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// checkSet asserts the reported density is the density of the
+		// reported set, and never above the optimum.
+		checkSet := func(label string, sol *ds.Solution) {
+			t.Helper()
+			d, err := g.SubgraphDensity(sol.Set)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if math.Abs(d-sol.Density) > 1e-9 || sol.Density > opt.Density+1e-9 {
+				t.Fatalf("%s: reported ρ=%v, set density %v, OPT %v", label, sol.Density, d, opt.Density)
+			}
+		}
+		for _, eps := range []float64{0, 0.5, 2} {
+			problems := []ds.Problem{
+				{Objective: ds.ObjectiveUndirected, Eps: eps},
+				{Objective: ds.ObjectiveWeighted, Eps: eps},
+				{Objective: ds.ObjectiveExact},
+				{Objective: ds.ObjectiveGreedy},
+			}
+			for _, k := range []int{2, n / 2, n - 1} {
+				problems = append(problems, ds.Problem{Objective: ds.ObjectiveAtLeastK, K: k, Eps: eps})
+			}
+			for _, p := range problems {
+				for _, be := range allBackends {
+					p.Backend, p.Graph = be, g
+					if p.Validate() != nil {
+						continue
+					}
+					if ran[p.Objective] == nil {
+						ran[p.Objective] = map[ds.Backend]bool{}
+					}
+					ran[p.Objective][be] = true
+					label := fmt.Sprintf("%s eps=%v k=%d %s/%s", tc.name, eps, p.K, p.Objective, be)
+					sol := solveOK(t, p, ds.WithSketch(sketchCfg))
+					if be == ds.BackendStreamSketched {
+						if len(sol.Set) == 0 {
+							t.Fatalf("%s: empty set", label)
+						}
+						if sol.SketchMemoryWords != sketchCfg.Tables*sketchCfg.Buckets {
+							t.Fatalf("%s: sketch memory = %d", label, sol.SketchMemoryWords)
+						}
+						continue
+					}
+					checkSet(label, sol)
+					switch p.Objective {
+					case ds.ObjectiveExact:
+						if math.Abs(sol.Density-opt.Density) > 1e-9 {
+							t.Fatalf("%s: ρ=%v, OPT %v", label, sol.Density, opt.Density)
+						}
+					case ds.ObjectiveGreedy:
+						if sol.Density < opt.Density/2-1e-9 {
+							t.Fatalf("%s: ρ=%v below OPT/2 = %v", label, sol.Density, opt.Density/2)
+						}
+					case ds.ObjectiveAtLeastK:
+						if len(sol.Set) < p.K {
+							t.Fatalf("%s: |S̃| = %d < k", label, len(sol.Set))
+						}
+						// The brute-force optimum is exponential in n.
+						if n <= 16 {
+							_, optK, err := flow.BruteForceDensestAtLeastK(g, p.K)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if sol.Density < optK/(3+3*eps)-1e-9 {
+								t.Fatalf("%s: ρ=%v below OPT_k/(3+3ε) = %v", label, sol.Density, optK/(3+3*eps))
+							}
+						}
+					default:
+						if sol.Density < opt.Density/(2+2*eps)-1e-9 {
+							t.Fatalf("%s: ρ=%v below OPT/(2+2ε) = %v", label, sol.Density, opt.Density/(2+2*eps))
+						}
+					}
+					if eps > 0 && p.Objective != ds.ObjectiveExact && p.Objective != ds.ObjectiveGreedy {
+						if sol.Passes > passBound(n, eps, false) {
+							t.Fatalf("%s: %d passes > bound %d", label, sol.Passes, passBound(n, eps, false))
+						}
+					}
+				}
+			}
+		}
+	}
+	want := map[ds.Objective]int{ds.ObjectiveUndirected: 4, ds.ObjectiveWeighted: 2, ds.ObjectiveAtLeastK: 3, ds.ObjectiveExact: 1, ds.ObjectiveGreedy: 1}
+	for obj, backends := range want {
+		if len(ran[obj]) != backends {
+			t.Errorf("%s ran on %d backends, want %d", obj, len(ran[obj]), backends)
+		}
 	}
 
-	sr, err := ds.StreamingDirected(ds.StreamDirectedGraph(g), 0.5, 0.5)
+	g := cliqueOnPath(t, 16)
+	_, coreDensity, err := ds.BestCore(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(sr.Density-r.Density) > 1e-9 {
-		t.Fatalf("streaming directed %v != in-memory %v", sr.Density, r.Density)
+	if coreDensity < 2.5/2-1e-9 {
+		t.Fatalf("best core %v below 2-approx", coreDensity)
 	}
+}
 
-	mr, err := ds.MapReduceDirected(g, 0.5, 0.5)
+// directedBlock returns a complete s→t bipartite block on nodes
+// 0..s-1 → s..s+t-1 followed by a directed path through the remaining
+// nodes up to n-1.
+func directedBlock(t *testing.T, s, tt, n int) *ds.DirectedGraph {
+	t.Helper()
+	b := ds.NewDirectedBuilder(n)
+	for u := 0; u < s; u++ {
+		for v := s; v < s+tt; v++ {
+			if err := b.AddEdge(int32(u), int32(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := s + tt; i < n-1; i++ {
+		if err := b.AddEdge(int32(i), int32(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(mr.Density-r.Density) > 1e-9 {
-		t.Fatalf("MR directed %v != in-memory %v", mr.Density, r.Density)
+	return g
+}
+
+// TestPublicAPIDirected is TestPublicAPIPipeline for Algorithm 3: at
+// the optimal ratio c = |S*|/|T*| every backend meets ρ ≥ OPT/(2+2ε)
+// against the brute-force optimum, the powers-of-δ sweep meets it up to
+// the factor δ, and both stay within 2⌈log_{1+ε} n⌉ + 2 passes.
+func TestPublicAPIDirected(t *testing.T) {
+	gnm, err := gen.GnmDirected(9, 24, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := []struct {
+		name string
+		g    *ds.DirectedGraph
+	}{
+		{"block+path", directedBlock(t, 3, 4, 10)},
+		{"out-star", directedBlock(t, 1, 7, 8)},
+		{"gnm", gnm},
+	}
+	const delta = 2.0
+	ran := map[ds.Objective]map[ds.Backend]bool{}
+	for _, tc := range graphs {
+		g, n := tc.g, tc.g.NumNodes()
+		sOpt, tOpt, opt, err := flow.BruteForceDirectedDensest(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := float64(len(sOpt)) / float64(len(tOpt))
+		for _, eps := range []float64{0, 0.5, 2} {
+			problems := []ds.Problem{
+				{Objective: ds.ObjectiveDirected, C: c, Eps: eps},
+				{Objective: ds.ObjectiveDirectedSweep, Delta: delta, Eps: eps},
+			}
+			for _, p := range problems {
+				for _, be := range allBackends {
+					p.Backend, p.Directed = be, g
+					if p.Validate() != nil {
+						continue
+					}
+					if ran[p.Objective] == nil {
+						ran[p.Objective] = map[ds.Backend]bool{}
+					}
+					ran[p.Objective][be] = true
+					label := fmt.Sprintf("%s eps=%v %s/%s", tc.name, eps, p.Objective, be)
+					sol := solveOK(t, p)
+					d, err := g.SubgraphDensity(sol.S, sol.T)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if math.Abs(d-sol.Density) > 1e-9 || sol.Density > opt+1e-9 {
+						t.Fatalf("%s: reported ρ=%v, pair density %v, OPT %v", label, sol.Density, d, opt)
+					}
+					factor := 2 + 2*eps
+					if p.Objective == ds.ObjectiveDirectedSweep {
+						factor *= delta
+					}
+					if sol.Density < opt/factor-1e-9 {
+						t.Fatalf("%s: ρ=%v below OPT/%v = %v", label, sol.Density, factor, opt/factor)
+					}
+					if eps > 0 && sol.Passes > passBound(n, eps, true) {
+						t.Fatalf("%s: %d passes > bound %d", label, sol.Passes, passBound(n, eps, true))
+					}
+				}
+			}
+		}
+	}
+	want := map[ds.Objective]int{ds.ObjectiveDirected: 3, ds.ObjectiveDirectedSweep: 2}
+	for obj, backends := range want {
+		if len(ran[obj]) != backends {
+			t.Errorf("%s ran on %d backends, want %d", obj, len(ran[obj]), backends)
+		}
 	}
 }
 
@@ -240,17 +389,12 @@ func TestPublicAPIWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ds.UndirectedWeighted(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveOK(t, ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendPeel, Eps: 0.5, Graph: g})
 	if r.Density < 15.0/3/3 {
 		t.Fatalf("weighted density %v", r.Density)
 	}
-	gw, err := ds.GreedyWeighted(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Greedy peels by weighted degree on a weighted graph.
+	gw := solveOK(t, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g})
 	if gw.Density < 15.0/3/2-1e-9 {
 		t.Fatalf("greedy weighted %v", gw.Density)
 	}

@@ -189,5 +189,5 @@ func AtLeastKOpts(g *graph.Undirected, k int, eps float64, cfg Config, o core.Op
 		}
 	}
 	fs := e.FaultStats()
-	return &MRResult{Set: set, Density: bestDensity, Passes: pass, Rounds: rounds, SpilledBytes: e.SpilledBytes(), StragglerReruns: fs.MapTaskReruns, Faults: fs}, nil
+	return &MRResult{Set: set, Density: bestDensity, Passes: pass, Rounds: rounds, SpilledBytes: e.SpilledBytes(), Faults: fs}, nil
 }

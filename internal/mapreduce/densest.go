@@ -7,7 +7,6 @@ import (
 
 	"densestream/internal/core"
 	"densestream/internal/graph"
-	"densestream/internal/stream"
 )
 
 // RoundStat records one pass of the MapReduce peeling driver: the state
@@ -37,10 +36,6 @@ type MRResult struct {
 	// SpilledBytes totals the bytes the run wrote to spill files under
 	// the Config.SpillBytes budget (0 for a fully resident run).
 	SpilledBytes int64
-	// StragglerReruns counts the map tasks dropped and re-executed
-	// under the failure plan; it mirrors Faults.MapTaskReruns and is
-	// kept for callers of the original straggler simulation.
-	StragglerReruns int64
 	// Faults aggregates every fault-tolerance event of the run:
 	// injected task loss, speculative re-execution, and checkpointing.
 	// Zero when the run saw no failure plan and no checkpointing.
@@ -250,12 +245,5 @@ func UndirectedOpts(g *graph.Undirected, eps float64, cfg Config, o core.Opts) (
 		}
 	}
 	fs := e.FaultStats()
-	return &MRResult{Set: set, Density: bestDensity, Passes: pass, Rounds: rounds, SpilledBytes: e.SpilledBytes(), StragglerReruns: fs.MapTaskReruns, Faults: fs}, nil
-}
-
-// StreamEquivalent re-runs the same algorithm through the streaming
-// peeler; exported for tests and the experiment harness to cross-check
-// MR results.
-func StreamEquivalent(g *graph.Undirected, eps float64) (*core.Result, error) {
-	return stream.Undirected(stream.FromUndirected(g), eps, stream.NewExactCounter(g.NumNodes()))
+	return &MRResult{Set: set, Density: bestDensity, Passes: pass, Rounds: rounds, SpilledBytes: e.SpilledBytes(), Faults: fs}, nil
 }

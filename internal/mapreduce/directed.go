@@ -34,10 +34,6 @@ type MRDirectedResult struct {
 	// SpilledBytes totals the bytes the run wrote to spill files under
 	// the Config.SpillBytes budget (0 for a fully resident run).
 	SpilledBytes int64
-	// StragglerReruns counts the map tasks dropped and re-executed
-	// under the failure plan; it mirrors Faults.MapTaskReruns and is
-	// kept for callers of the original straggler simulation.
-	StragglerReruns int64
 	// Faults aggregates every fault-tolerance event of the run; see
 	// MRResult.Faults.
 	Faults FaultStats
@@ -262,5 +258,5 @@ func DirectedOpts(g *graph.Directed, c, eps float64, cfg Config, o core.Opts) (*
 		}
 	}
 	fs := e.FaultStats()
-	return &MRDirectedResult{S: setS, T: setT, Density: bestDensity, Passes: pass, Rounds: rounds, SpilledBytes: e.SpilledBytes(), StragglerReruns: fs.MapTaskReruns, Faults: fs}, nil
+	return &MRDirectedResult{S: setS, T: setT, Density: bestDensity, Passes: pass, Rounds: rounds, SpilledBytes: e.SpilledBytes(), Faults: fs}, nil
 }

@@ -177,42 +177,6 @@ func TestSpeculativeRecovery(t *testing.T) {
 	}
 }
 
-// TestStragglerPlanBackCompat checks the legacy boolean maps onto the
-// canned FailurePlan: both configurations drop and recover the same
-// tasks and return identical results and counters.
-func TestStragglerPlanBackCompat(t *testing.T) {
-	g, err := gen.ChungLu(300, 1800, 2.2, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	base := Config{Mappers: 4, Reducers: 4, SpillBytes: 1, SpillDir: dir}
-
-	legacy := base
-	legacy.Straggler = true
-	old, err := Undirected(g, 0.5, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	planned := base
-	planned.Failures = &FailurePlan{Faults: []Fault{{Kind: FaultMap, Target: FirstSpilledShard}}}
-	new_, err := Undirected(g, 0.5, planned)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if old.StragglerReruns == 0 {
-		t.Fatal("legacy straggler run never dropped a task")
-	}
-	if old.StragglerReruns != new_.StragglerReruns || old.Faults != new_.Faults {
-		t.Fatalf("legacy counters %+v != planned counters %+v", old.Faults, new_.Faults)
-	}
-	if !reflect.DeepEqual(stripResult(old), stripResult(new_)) {
-		t.Fatal("legacy Straggler run differs from its FailurePlan equivalent")
-	}
-}
-
 func TestFailurePlanValidate(t *testing.T) {
 	bad := []Config{
 		{Failures: &FailurePlan{MapRate: 1.5}},

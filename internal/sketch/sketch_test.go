@@ -114,13 +114,14 @@ func TestUpdateInverseProperty(t *testing.T) {
 }
 
 func TestDegreeCounterImplementsStreamInterface(t *testing.T) {
-	var _ stream.DegreeCounter = (*DegreeCounter)(nil)
-	dc, err := NewDegreeCounter(5, 128, 9)
+	var _ stream.StripedDegreeCounter = (*Striped)(nil)
+	dc, err := NewStriped(5, 128, 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc.Add(3)
-	dc.Add(3)
+	dc.AddLane(0, 3)
+	dc.AddLane(1, 3)
+	dc.Fold()
 	if dc.Estimate(3) != 2 {
 		t.Fatalf("estimate = %d", dc.Estimate(3))
 	}
@@ -131,7 +132,7 @@ func TestDegreeCounterImplementsStreamInterface(t *testing.T) {
 	if dc.MemoryWords() != 5*128 {
 		t.Fatalf("memory = %d", dc.MemoryWords())
 	}
-	if _, err := NewDegreeCounter(0, 10, 1); err == nil {
+	if _, err := NewStriped(0, 10, 1, 1); err == nil {
 		t.Fatal("bad shape accepted")
 	}
 }
@@ -147,11 +148,11 @@ func TestSketchedPeelingQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := NewDegreeCounter(5, 1000, 21) // 5000 words vs n=3000... still < n per table
+	dc, err := NewStriped(5, 1000, 21, 1) // 5000 words vs n=3000... still < n per table
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketched, err := stream.Undirected(stream.FromUndirected(g), 0.5, dc)
+	sketched, err := stream.UndirectedSketchedOpts(stream.FromUndirected(g), 0.5, dc, core.Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

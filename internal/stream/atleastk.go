@@ -71,9 +71,9 @@ func AtLeastK(es EdgeStream, k int, eps float64, counter DegreeCounter) (*core.R
 
 // AtLeastKOpts is AtLeastK with an execution configuration: o.Ctx and
 // o.Progress interrupt the run between passes (and mid-scan) with a
-// core.PartialError. o.Workers is accepted for signature uniformity but
-// the scan is sequential (see the ROADMAP's parallel weighted/AtLeastK
-// streaming item).
+// core.PartialError. The scan is sequential and o.Workers is ignored:
+// this is the engine AtLeastKParallelOpts falls back to for workers==1
+// and for streams that cannot shard.
 func AtLeastKOpts(es EdgeStream, k int, eps float64, counter DegreeCounter, o core.Opts) (*core.Result, error) {
 	if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return nil, fmt.Errorf("stream: epsilon must be a finite value >= 0, got %v", eps)

@@ -5,8 +5,8 @@ import "densestream/internal/par"
 // DegreeCounter accumulates per-node incident-edge counts during one pass
 // of a streaming peeler and answers degree queries afterwards. The exact
 // implementation uses an O(n) array, which is the paper's baseline; the
-// Count-Sketch implementation in internal/sketch satisfies the same
-// interface with O(t·b) words (§5.1).
+// Count-Sketch of §5.1 (O(t·b) words) reaches the sequential peeler
+// through lane 0 of a StripedDegreeCounter.
 type DegreeCounter interface {
 	// Reset clears all counters for a new pass.
 	Reset()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"densestream/internal/core"
 	"densestream/internal/graph"
@@ -241,35 +240,14 @@ func UndirectedParallelOpts(es EdgeStream, eps float64, o core.Opts) (*core.Resu
 		}
 		if removed == 0 {
 			// Unreachable with exact counting unless float rounding pulls
-			// the cut below the minimum degree; mirror the sequential
-			// fallback so worker counts cannot disagree even then: drop
-			// the ε/(1+ε) fraction (at least one node) with the smallest
-			// counts.
-			quota := int(eps / (1 + eps) * float64(nodes))
-			if quota < 1 {
-				quota = 1
-			}
-			type est struct {
-				u int32
-				e int64
-			}
-			cand := make([]est, 0, nodes)
-			for u := 0; u < n; u++ {
-				if alive[u] {
-					cand = append(cand, est{u: int32(u), e: counter.Estimate(int32(u))})
-				}
-			}
-			sort.Slice(cand, func(i, j int) bool {
-				if cand[i].e != cand[j].e {
-					return cand[i].e < cand[j].e
-				}
-				return cand[i].u < cand[j].u
-			})
-			for _, c := range cand[:quota] {
+			// the cut below the minimum degree; take the sequential
+			// fallback so worker counts cannot disagree even then.
+			var cand []atLeastKCand
+			cand, removed = selectAtLeastK(nil, n, nodes, eps/(1+eps), cut, alive, counter.Estimate)
+			for _, c := range cand[:removed] {
 				alive[c.u] = false
 				removedAt[c.u] = pass
 			}
-			removed = quota
 		}
 		st := core.PassStat{
 			Pass: pass, Nodes: nodes, Edges: edges, Density: rho, Removed: removed,

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"densestream/internal/core"
 	"densestream/internal/gen"
 	"densestream/internal/par"
 )
@@ -174,4 +175,74 @@ func (f *faultShardedStream) Shards(k int) []EdgeStream {
 	shards := f.inner.Shards(k)
 	shards[0] = &FaultStream{Inner: shards[0], FailAfter: f.failAfter}
 	return shards
+}
+
+// inflatedCounter is a StripedDegreeCounter whose estimates are the
+// exact degrees plus a constant above every cut, so no node ever falls
+// at or below the Algorithm 1 threshold and each pass must take the
+// drop-the-lowest fallback.
+type inflatedCounter struct{ lanes [][]int64 }
+
+const inflation = 1 << 40
+
+func newInflatedCounter(n, lanes int) *inflatedCounter {
+	c := &inflatedCounter{lanes: make([][]int64, lanes)}
+	for l := range c.lanes {
+		c.lanes[l] = make([]int64, n)
+	}
+	return c
+}
+
+func (c *inflatedCounter) Lanes() int { return len(c.lanes) }
+
+func (c *inflatedCounter) Reset() {
+	for _, l := range c.lanes {
+		clear(l)
+	}
+}
+
+func (c *inflatedCounter) AddLane(lane int, u int32) { c.lanes[lane][u]++ }
+
+func (c *inflatedCounter) Fold() {
+	for _, l := range c.lanes[1:] {
+		for u, v := range l {
+			c.lanes[0][u] += v
+		}
+	}
+}
+
+func (c *inflatedCounter) Estimate(u int32) int64 { return c.lanes[0][u] + inflation }
+
+func (c *inflatedCounter) MemoryWords() int { return len(c.lanes[0]) }
+
+// TestSketchedFallbackRemovesQuota drives every pass through the
+// fallback for a counter that overestimates every node: the sequential
+// (workers=1) and sharded (workers=3) engines must agree exactly, and
+// each pass must drop exactly max(1, ⌊ε/(1+ε)·|S|⌋) nodes.
+func TestSketchedFallbackRemovesQuota(t *testing.T) {
+	g, err := gen.ChungLu(600, 3000, 2.2, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int(g.NumNodes())
+	for _, eps := range []float64{0, 0.5, 3} {
+		var results []*core.Result
+		for _, workers := range []int{1, 3} {
+			counter := newInflatedCounter(n, SketchScanLanes(workers))
+			r, err := UndirectedSketchedOpts(FromUndirected(g), eps, counter, core.Opts{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, r)
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Fatalf("eps=%v: workers=1 and workers=3 disagree", eps)
+		}
+		for _, st := range results[0].Trace {
+			quota := max(1, int(eps/(1+eps)*float64(st.Nodes)))
+			if st.Removed != quota {
+				t.Fatalf("eps=%v pass %d: removed %d of %d nodes, want quota %d", eps, st.Pass, st.Removed, st.Nodes, quota)
+			}
+		}
+	}
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"densestream/internal/core"
 	"densestream/internal/graph"
@@ -135,35 +134,14 @@ func UndirectedSketchedOpts(es EdgeStream, eps float64, counter StripedDegreeCou
 		}
 		if removed == 0 {
 			// Sketch collision noise can push every low estimate past the
-			// cut; keep the geometric pass bound with the Algorithm 2
-			// rule, identical to the sequential sketched fallback: drop
-			// the ε/(1+ε) fraction (at least one node) with the smallest
-			// estimates.
-			quota := int(eps / (1 + eps) * float64(nodes))
-			if quota < 1 {
-				quota = 1
-			}
-			type est struct {
-				u int32
-				e int64
-			}
-			cand := make([]est, 0, nodes)
-			for u := 0; u < n; u++ {
-				if alive[u] {
-					cand = append(cand, est{u: int32(u), e: counter.Estimate(int32(u))})
-				}
-			}
-			sort.Slice(cand, func(i, j int) bool {
-				if cand[i].e != cand[j].e {
-					return cand[i].e < cand[j].e
-				}
-				return cand[i].u < cand[j].u
-			})
-			for _, c := range cand[:quota] {
+			// cut; take the sequential fallback so worker counts cannot
+			// disagree.
+			var cand []atLeastKCand
+			cand, removed = selectAtLeastK(nil, n, nodes, eps/(1+eps), cut, alive, counter.Estimate)
+			for _, c := range cand[:removed] {
 				alive[c.u] = false
 				removedAt[c.u] = pass
 			}
-			removed = quota
 		}
 		st := core.PassStat{
 			Pass: pass, Nodes: nodes, Edges: edges, Density: rho, Removed: removed,

@@ -108,9 +108,9 @@ func UndirectedWeighted(es WeightedEdgeStream, eps float64) (*core.Result, error
 
 // UndirectedWeightedOpts is UndirectedWeighted with an execution
 // configuration: o.Ctx and o.Progress interrupt the run between passes
-// (and mid-scan) with a core.PartialError. o.Workers is accepted for
-// signature uniformity but the scan is sequential until
-// WeightedEdgeStream grows a Shards analogue (see ROADMAP).
+// (and mid-scan) with a core.PartialError. The scan is sequential and
+// o.Workers is ignored: this is the engine UndirectedWeightedParallelOpts
+// falls back to for workers==1 and for streams that cannot shard.
 func UndirectedWeightedOpts(es WeightedEdgeStream, eps float64, o core.Opts) (*core.Result, error) {
 	if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return nil, fmt.Errorf("stream: epsilon must be a finite value >= 0, got %v", eps)

@@ -91,11 +91,11 @@ type SolveStats struct {
 }
 
 // Solve executes one densest-subgraph Problem and returns the uniform
-// Solution envelope. It is the single entry point behind every legacy
-// function in this package: the Problem declares what to compute
-// (objective + parameters), on which input, and with which execution
-// model, while Options configure how it runs (workers, cluster shape,
-// sketch shape, progress).
+// Solution envelope. It is the package's single entry point for every
+// algorithm: the Problem declares what to compute (objective +
+// parameters), on which input, and with which execution model, while
+// Options configure how it runs (workers, cluster shape, sketch shape,
+// progress).
 //
 // ctx bounds the computation: cancellation or a deadline aborts the
 // solve within one pass on every backend, returning a *PartialError
@@ -450,15 +450,15 @@ func recordScan(sol *Solution, s any) {
 	}
 }
 
-func (s *Solution) fillResult(r *Result) {
+func (s *Solution) fillResult(r *core.Result) {
 	s.Set, s.Density, s.Passes, s.Trace = r.Set, r.Density, r.Passes, r.Trace
 }
 
-func (s *Solution) fillDirected(r *DirectedResult) {
+func (s *Solution) fillDirected(r *core.DirectedResult) {
 	s.S, s.T, s.Density, s.Passes, s.DirectedTrace = r.S, r.T, r.Density, r.Passes, r.Trace
 }
 
-func (s *Solution) fillMR(r *MRResult) {
+func (s *Solution) fillMR(r *mapreduce.MRResult) {
 	s.Set, s.Density, s.Passes = r.Set, r.Density, r.Passes
 	s.MRRounds = r.Rounds
 	s.Stats.BytesSpilled = r.SpilledBytes

@@ -1,8 +1,8 @@
 package densestream_test
 
 // Parity pin for the unified Solve API: every objective × backend pair
-// must return bit-identical results to the legacy entry point it
-// replaced, across ChungLu and RMAT inputs. Plus the cancellation
+// must return bit-identical results to the internal engine it
+// dispatches to, across ChungLu and RMAT inputs. Plus the cancellation
 // contract: a context canceled mid-solve returns context.Canceled
 // promptly with a partial trace, on all three runtimes.
 
@@ -14,6 +14,12 @@ import (
 	"time"
 
 	ds "densestream"
+	"densestream/internal/charikar"
+	"densestream/internal/core"
+	"densestream/internal/flow"
+	"densestream/internal/mapreduce"
+	"densestream/internal/sketch"
+	"densestream/internal/stream"
 )
 
 // parityGraphs returns the undirected and directed inputs of the
@@ -63,14 +69,51 @@ func solveOK(t *testing.T, p ds.Problem, opts ...ds.Option) *ds.Solution {
 func wantSame(t *testing.T, label string, got, want any) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Solve diverges from the legacy entry point\n got: %+v\nwant: %+v", label, got, want)
+		t.Fatalf("%s: Solve diverges from the engine it dispatches to\n got: %+v\nwant: %+v", label, got, want)
 	}
+}
+
+// asResult projects a Solution onto the undirected engines' result.
+func asResult(s *ds.Solution) *core.Result {
+	return &core.Result{Set: s.Set, Density: s.Density, Passes: s.Passes, Trace: s.Trace}
+}
+
+// asDirected projects a Solution onto the directed engines' result.
+func asDirected(s *ds.Solution) *core.DirectedResult {
+	return &core.DirectedResult{S: s.S, T: s.T, Density: s.Density, Passes: s.Passes, Trace: s.DirectedTrace}
+}
+
+// wantSameMR checks a MapReduce Solution against the undirected driver
+// result: the common block, the round stats (wall clock aside), the
+// spill volume, and the trace Solve projects from the rounds.
+func wantSameMR(t *testing.T, label string, sol *ds.Solution, r *mapreduce.MRResult) {
+	t.Helper()
+	wantSame(t, label, &mapreduce.MRResult{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Rounds: stripWall(sol.MRRounds), SpilledBytes: sol.Stats.BytesSpilled},
+		&mapreduce.MRResult{Set: r.Set, Density: r.Density, Passes: r.Passes, Rounds: stripWall(r.Rounds), SpilledBytes: r.SpilledBytes, Faults: r.Faults})
+	if sol.MRFaults != nil {
+		t.Fatalf("%s: fault-free run reports %+v", label, sol.MRFaults)
+	}
+	trace := make([]ds.PassStat, len(r.Rounds))
+	for i, rd := range r.Rounds {
+		trace[i] = rd.AsPassStat()
+	}
+	wantSame(t, label+" trace", sol.Trace, trace)
 }
 
 // stripWall zeroes the wall-clock field of MR rounds, the only
 // per-round field that differs between two runs of the same job.
 func stripWall(rounds []ds.MRRoundStat) []ds.MRRoundStat {
 	out := make([]ds.MRRoundStat, len(rounds))
+	for i, r := range rounds {
+		r.Wall = 0
+		out[i] = r
+	}
+	return out
+}
+
+// stripWallDirected is stripWall for directed MR rounds.
+func stripWallDirected(rounds []ds.MRDirectedRoundStat) []ds.MRDirectedRoundStat {
+	out := make([]ds.MRDirectedRoundStat, len(rounds))
 	for i, r := range rounds {
 		r.Wall = 0
 		out[i] = r
@@ -85,45 +128,49 @@ func TestSolveParityUndirectedObjectives(t *testing.T) {
 	for gi, g := range und {
 		// Peel.
 		sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: eps, Graph: g})
-		legacy, err := ds.Undirected(g, eps)
+		peel, err := core.UndirectedOpts(g, eps, core.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSame(t, "undirected/peel", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, legacy)
+		wantSame(t, "undirected/peel", asResult(sol), peel)
 
 		// Stream.
 		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: eps, Edges: ds.StreamGraph(g)})
-		st, err := ds.Streaming(ds.StreamGraph(g), eps)
+		st, err := stream.UndirectedParallelOpts(stream.FromUndirected(g), eps, core.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSame(t, "undirected/stream", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, st)
-		if sol.Density != legacy.Density {
-			t.Fatalf("graph %d: stream density %v != peel %v", gi, sol.Density, legacy.Density)
+		wantSame(t, "undirected/stream", asResult(sol), st)
+		if sol.Density != peel.Density {
+			t.Fatalf("graph %d: stream density %v != peel %v", gi, sol.Density, peel.Density)
 		}
 
-		// StreamSketched.
+		// StreamSketched: the engine with the same sketch shape, one lane
+		// per scan worker (bit-identical at any lane count).
 		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStreamSketched, Eps: eps, Edges: ds.StreamGraph(g)},
 			ds.WithSketch(sketchCfg))
-		sk, mem, err := ds.StreamingSketched(ds.StreamGraph(g), eps, sketchCfg)
+		sk, err := sketch.NewStriped(sketchCfg.Tables, sketchCfg.Buckets, sketchCfg.Seed, stream.SketchScanLanes(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSame(t, "undirected/sketch", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, sk)
-		if sol.SketchMemoryWords != mem {
-			t.Fatalf("sketch memory %d != %d", sol.SketchMemoryWords, mem)
+		skr, err := stream.UndirectedSketchedOpts(stream.FromUndirected(g), eps, sk, core.Opts{Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSame(t, "undirected/sketch", asResult(sol), skr)
+		if sol.SketchMemoryWords != sk.MemoryWords() {
+			t.Fatalf("sketch memory %d != %d", sol.SketchMemoryWords, sk.MemoryWords())
 		}
 
 		// MapReduce.
 		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: eps, Graph: g})
-		mr, err := ds.MapReduce(g, eps)
+		mr, err := mapreduce.UndirectedOpts(g, eps, mapreduce.DefaultConfig, core.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSame(t, "undirected/mr", &ds.MRResult{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Rounds: stripWall(sol.MRRounds)},
-			&ds.MRResult{Set: mr.Set, Density: mr.Density, Passes: mr.Passes, Rounds: stripWall(mr.Rounds)})
-		if sol.Density != legacy.Density {
-			t.Fatalf("graph %d: MR density %v != peel %v", gi, sol.Density, legacy.Density)
+		wantSameMR(t, "undirected/mr", sol, mr)
+		if sol.Density != peel.Density {
+			t.Fatalf("graph %d: MR density %v != peel %v", gi, sol.Density, peel.Density)
 		}
 	}
 }
@@ -135,40 +182,39 @@ func TestSolveParityWeightedAndAtLeastK(t *testing.T) {
 
 	// Weighted on peel and stream (unit weights on an unweighted graph).
 	sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendPeel, Eps: eps, Graph: g})
-	w, err := ds.UndirectedWeighted(g, eps)
+	w, err := core.UndirectedWeightedOpts(g, eps, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSame(t, "weighted/peel", sol.Set, w.Set)
+	wantSame(t, "weighted/peel", asResult(sol), w)
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendStream, Eps: eps, WeightedEdges: ds.StreamWeightedGraph(g)})
-	ws, err := ds.StreamingWeighted(ds.StreamWeightedGraph(g), eps)
+	ws, err := stream.UndirectedWeightedParallelOpts(stream.FromUndirectedWeighted(g), eps, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSame(t, "weighted/stream", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, ws)
+	wantSame(t, "weighted/stream", asResult(sol), ws)
 
 	// AtLeastK on all three exact backends.
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendPeel, K: k, Eps: eps, Graph: g})
-	al, err := ds.AtLeastK(g, k, eps)
+	al, err := core.AtLeastKOpts(g, k, eps, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSame(t, "atleastk/peel", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, al)
+	wantSame(t, "atleastk/peel", asResult(sol), al)
 
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendStream, K: k, Eps: eps, Edges: ds.StreamGraph(g)})
-	als, err := ds.StreamingAtLeastK(ds.StreamGraph(g), k, eps)
+	als, err := stream.AtLeastKParallelOpts(stream.FromUndirected(g), k, eps, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSame(t, "atleastk/stream", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, als)
+	wantSame(t, "atleastk/stream", asResult(sol), als)
 
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendMapReduce, K: k, Eps: eps, Graph: g})
-	alm, err := ds.MapReduceAtLeastK(g, k, eps)
+	alm, err := mapreduce.AtLeastKOpts(g, k, eps, mapreduce.DefaultConfig, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSame(t, "atleastk/mr", &ds.MRResult{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Rounds: stripWall(sol.MRRounds)},
-		&ds.MRResult{Set: alm.Set, Density: alm.Density, Passes: alm.Passes, Rounds: stripWall(alm.Rounds)})
+	wantSameMR(t, "atleastk/mr", sol, alm)
 }
 
 func TestSolveParityDirectedObjectives(t *testing.T) {
@@ -176,40 +222,42 @@ func TestSolveParityDirectedObjectives(t *testing.T) {
 	const eps, c, delta = 0.5, 1.0, 2.0
 	for gi, g := range dir {
 		sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendPeel, C: c, Eps: eps, Directed: g})
-		legacy, err := ds.Directed(g, c, eps)
+		peel, err := core.DirectedOpts(g, c, eps, core.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSame(t, "directed/peel", &ds.DirectedResult{S: sol.S, T: sol.T, Density: sol.Density, Passes: sol.Passes, Trace: sol.DirectedTrace}, legacy)
+		wantSame(t, "directed/peel", asDirected(sol), peel)
 
 		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendStream, C: c, Eps: eps, Edges: ds.StreamDirectedGraph(g)})
-		st, err := ds.StreamingDirected(ds.StreamDirectedGraph(g), c, eps)
+		st, err := stream.DirectedParallelOpts(stream.FromDirected(g), c, eps, core.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantSame(t, "directed/stream", &ds.DirectedResult{S: sol.S, T: sol.T, Density: sol.Density, Passes: sol.Passes, Trace: sol.DirectedTrace}, st)
-		if sol.Density != legacy.Density {
-			t.Fatalf("graph %d: stream directed density %v != peel %v", gi, sol.Density, legacy.Density)
+		wantSame(t, "directed/stream", asDirected(sol), st)
+		if sol.Density != peel.Density {
+			t.Fatalf("graph %d: stream directed density %v != peel %v", gi, sol.Density, peel.Density)
 		}
 
 		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendMapReduce, C: c, Eps: eps, Directed: g})
-		mr, err := ds.MapReduceDirected(g, c, eps)
+		mr, err := mapreduce.DirectedOpts(g, c, eps, mapreduce.DefaultConfig, core.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sol.S, mr.S) || !reflect.DeepEqual(sol.T, mr.T) || sol.Density != mr.Density || sol.Passes != mr.Passes {
-			t.Fatalf("directed/mr: Solve diverges from MapReduceDirected")
+		wantSame(t, "directed/mr", &mapreduce.MRDirectedResult{S: sol.S, T: sol.T, Density: sol.Density, Passes: sol.Passes, Rounds: stripWallDirected(sol.MRDirectedRounds), SpilledBytes: sol.Stats.BytesSpilled},
+			&mapreduce.MRDirectedResult{S: mr.S, T: mr.T, Density: mr.Density, Passes: mr.Passes, Rounds: stripWallDirected(mr.Rounds), SpilledBytes: mr.SpilledBytes, Faults: mr.Faults})
+		trace := make([]ds.DirectedPassStat, len(mr.Rounds))
+		for i, rd := range mr.Rounds {
+			trace[i] = rd.AsDirectedPassStat()
 		}
+		wantSame(t, "directed/mr trace", sol.DirectedTrace, trace)
 
 		swSol := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirectedSweep, Backend: ds.BackendPeel, Delta: delta, Eps: eps, Directed: g})
-		sw, err := ds.DirectedSweep(g, delta, eps)
+		sw, err := core.DirectedSweepOpts(g, delta, eps, core.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantSame(t, "sweep/peel", swSol.Sweep, sw)
-		if swSol.Density != sw.Best.Density {
-			t.Fatalf("sweep: Solution density %v != Best %v", swSol.Density, sw.Best.Density)
-		}
+		wantSame(t, "sweep/peel best", asDirected(swSol), sw.Best)
 	}
 }
 
@@ -219,7 +267,7 @@ func TestSolveParityExactAndGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveExact, Graph: g})
-	ex, err := ds.Exact(g)
+	ex, err := flow.ExactDensest(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +277,7 @@ func TestSolveParityExactAndGreedy(t *testing.T) {
 	}
 
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g})
-	gr, err := ds.Greedy(g)
+	gr, err := charikar.Densest(g)
 	if err != nil {
 		t.Fatal(err)
 	}
