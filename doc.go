@@ -223,10 +223,11 @@
 // the cluster once; each peeling pass is a Round of jobs (one degree
 // count, the §5.2 marker-join filters) over the resident partitioned
 // dataset — only the removal markers enter a round from the
-// coordinator. Jobs read fixed input shards, shuffle through a fixed
-// number of hash partitions merged in shard order, and fold each
-// reducer partition's keys in sorted order, so every cluster shape
-// returns a bit-identical result. Each round reports wall clock,
+// coordinator. Jobs read fixed input shards and shuffle int32 node-id
+// keys through a fixed number of hash partitions read in shard order;
+// each reducer groups its partition with a stable radix sort on the key
+// and folds the keys in ascending order, so every cluster shape returns
+// a bit-identical result. Each round reports wall clock,
 // shuffle records and bytes, and the per-machine shuffle attribution
 // (Solution.MRRounds) — the series behind the paper's Figure 6.7.
 //

@@ -45,6 +45,7 @@ func AtLeastKOpts(g *graph.Undirected, k int, eps float64, cfg Config, o core.Op
 
 	alive := make([]bool, n)
 	removedAt := make([]int, n)
+	deg := make([]int32, n) // this round's degrees, reloaded every round
 	nodes := n
 	bestPass := 0
 	bestDensity := -1.0
@@ -111,15 +112,13 @@ func AtLeastKOpts(g *graph.Undirected, k int, eps float64, cfg Config, o core.Op
 		}
 		cut := threshold * rho
 
-		deg := make(map[int32]int32, degs.Len())
-		if err := degs.Each(func(u, d int32) { deg[u] = d }); err != nil {
+		if err := loadDegrees(degs, deg); err != nil {
 			return nil, fmt.Errorf("mapreduce: pass %d degrees: %w", pass, err)
 		}
-		degs.Discard()
 		candidates = candidates[:0]
 		for u := 0; u < n; u++ {
-			if alive[u] && float64(deg[int32(u)]) <= cut {
-				candidates = append(candidates, cand{u: int32(u), deg: deg[int32(u)]})
+			if alive[u] && float64(deg[u]) <= cut {
+				candidates = append(candidates, cand{u: int32(u), deg: deg[u]})
 			}
 		}
 		if len(candidates) == 0 {

@@ -72,7 +72,7 @@ func edgeDataset(e *Engine, g *graph.Undirected) (*Dataset[int32, int32], error)
 		recs = append(recs, Pair[int32, int32]{Key: u, Value: v})
 		return true
 	})
-	d := Shard(e, recs, PartitionInt32)
+	d := Shard(e, recs)
 	if err := maybeSpill(e, d); err != nil {
 		return nil, err
 	}
@@ -118,6 +118,7 @@ func UndirectedOpts(g *graph.Undirected, eps float64, cfg Config, o core.Opts) (
 
 	alive := make([]bool, n)
 	removedAt := make([]int, n)
+	deg := make([]int32, n) // this round's degrees, reloaded every round
 	nodes := n
 	bestPass := 0
 	bestDensity := -1.0
@@ -181,15 +182,13 @@ func UndirectedOpts(g *graph.Undirected, eps float64, cfg Config, o core.Opts) (
 
 		// Decide removals: nodes with degree <= cut. Isolated alive nodes
 		// have no degree record and count as degree 0.
-		deg := make(map[int32]int32, degs.Len())
-		if err := degs.Each(func(u, d int32) { deg[u] = d }); err != nil {
+		if err := loadDegrees(degs, deg); err != nil {
 			return nil, fmt.Errorf("mapreduce: pass %d degrees: %w", pass, err)
 		}
-		degs.Discard()
 		var markers []Pair[int32, int32]
 		removed := 0
 		for u := 0; u < n; u++ {
-			if alive[u] && float64(deg[int32(u)]) <= cut {
+			if alive[u] && float64(deg[u]) <= cut {
 				markers = append(markers, Pair[int32, int32]{Key: int32(u), Value: mark})
 				alive[u] = false
 				removedAt[u] = pass

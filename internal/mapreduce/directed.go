@@ -101,6 +101,7 @@ func DirectedOpts(g *graph.Directed, c, eps float64, cfg Config, o core.Opts) (*
 	aliveT := make([]bool, n)
 	removedAtS := make([]int, n)
 	removedAtT := make([]int, n)
+	deg := make([]int32, n) // this round's degrees, reloaded every round
 	sizeS, sizeT := n, n
 	bestPass := 0
 	bestDensity := -1.0
@@ -148,7 +149,7 @@ func DirectedOpts(g *graph.Directed, c, eps float64, cfg Config, o core.Opts) (*
 			recs = append(recs, Pair[int32, int32]{Key: u, Value: v})
 			return true
 		})
-		edges = Shard(e, recs, PartitionInt32)
+		edges = Shard(e, recs)
 		if err := maybeSpill(e, edges); err != nil {
 			return nil, err
 		}
@@ -177,17 +178,15 @@ func DirectedOpts(g *graph.Directed, c, eps float64, cfg Config, o core.Opts) (*
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: directed pass %d degree job: %w", pass, err)
 		}
-		deg := make(map[int32]int32, degs.Len())
-		if err := degs.Each(func(u, d int32) { deg[u] = d }); err != nil {
+		if err := loadDegrees(degs, deg); err != nil {
 			return nil, fmt.Errorf("mapreduce: directed pass %d degrees: %w", pass, err)
 		}
-		degs.Discard()
 
 		var markers []Pair[int32, int32]
 		if peelS {
 			cut := (1 + eps) * float64(numEdges) / float64(sizeS)
 			for u := 0; u < n; u++ {
-				if aliveS[u] && float64(deg[int32(u)]) <= cut {
+				if aliveS[u] && float64(deg[u]) <= cut {
 					markers = append(markers, Pair[int32, int32]{Key: int32(u), Value: mark})
 					aliveS[u] = false
 					removedAtS[u] = pass
@@ -199,7 +198,7 @@ func DirectedOpts(g *graph.Directed, c, eps float64, cfg Config, o core.Opts) (*
 		} else {
 			cut := (1 + eps) * float64(numEdges) / float64(sizeT)
 			for v := 0; v < n; v++ {
-				if aliveT[v] && float64(deg[int32(v)]) <= cut {
+				if aliveT[v] && float64(deg[v]) <= cut {
 					markers = append(markers, Pair[int32, int32]{Key: int32(v), Value: mark})
 					aliveT[v] = false
 					removedAtT[v] = pass

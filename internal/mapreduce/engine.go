@@ -27,12 +27,14 @@
 //   - Round: one driver pass; jobs run inside a round, which aggregates
 //     their Stats (the per-pass series of Figure 6.7).
 //   - RunJob: one job. The map phase reads NumMapShards fixed shards of
-//     the input stream into per-shard partition buckets (optionally
-//     folding a combiner per shard); the shuffle concatenates buckets
-//     in shard order; reducers fold each partition's keys in sorted
-//     order into the output partition. Every merge point is ordered by
-//     shard or partition index, so any (Mappers, Reducers, Machines)
-//     shape yields bit-identical output.
+//     the input stream into per-shard partition buckets, hashing each
+//     int32 shuffle key to its partition with one fixed partitioner
+//     (optionally folding a combiner per shard); reducers read their
+//     partition's buckets in shard order, group them by key with a
+//     stable LSD radix sort, and fold the keys in ascending order into
+//     the output partition. Every merge point is ordered by shard or
+//     partition index and the sort is stable, so any (Mappers,
+//     Reducers, Machines) shape yields bit-identical output.
 package mapreduce
 
 import (
@@ -57,18 +59,23 @@ type Pair[K comparable, V any] struct {
 }
 
 // Mapper transforms one input record into any number of intermediate
-// records via emit.
-type Mapper[K1 comparable, V1 any, K2 comparable, V2 any] func(key K1, value V1, emit func(K2, V2))
+// records via emit. Intermediate (shuffle) keys are int32 — node ids in
+// every job of the peeling drivers.
+type Mapper[K1 comparable, V1 any, V2 any] func(key K1, value V1, emit func(int32, V2))
 
 // Reducer folds all values of one intermediate key into any number of
-// output records via emit.
-type Reducer[K comparable, V any, V2 any] func(key K, values []V, emit func(K, V2))
+// output records via emit. values holds the key's values in input
+// order; its capacity ends at its length, so appending to it never
+// touches another key's group.
+type Reducer[V any, V2 any] func(key int32, values []V, emit func(int32, V2))
 
 // Combiner folds the values of one key within a single map shard before
 // the shuffle — Hadoop's classic optimization for aggregations. It must
 // be semantically idempotent with the reducer: reduce(combine
-// partitions) == reduce(everything).
-type Combiner[K comparable, V any] func(key K, values []V) V
+// partitions) == reduce(everything). The shard's emissions are grouped
+// by the same radix sort as the reduce side, so the combiner sees each
+// key once, in ascending key order, with its values in emission order.
+type Combiner[V any] func(key int32, values []V) V
 
 // Cluster geometry. Both constants are fixed independent of Config so
 // the work decomposition — map input shards and shuffle partitions —
@@ -318,9 +325,12 @@ func shardBounds(s, n int) (lo, hi int) {
 	return s * n / NumMapShards, (s + 1) * n / NumMapShards
 }
 
-// partIndex maps a key to its shuffle partition.
-func partIndex[K comparable](partition func(K) uint64, k K) int {
-	return int(partition(k) % NumPartitions)
+// partIndex is the engine's partitioner: it maps an int32 shuffle key
+// to its partition by Fibonacci hashing, so adjacent node ids spread
+// across partitions.
+func partIndex(k int32) int {
+	h := (uint64(uint32(k)) * 0x9e3779b97f4a7c15) >> 13
+	return int(h % NumPartitions)
 }
 
 // stragglerShard resolves the FirstSpilledShard fault target: the map
@@ -624,28 +634,28 @@ func maybeSpill[K comparable, V any](e *Engine, d *Dataset[K, V]) error {
 }
 
 // Shard distributes a flat record slice onto the cluster, hash-
-// partitioned by the given partition function: the once-per-run upload
-// that makes the dataset resident. The decomposition into NumMapShards
-// fixed splits and the shard-order merge per partition make the layout
-// identical for every cluster shape.
-func Shard[K comparable, V any](e *Engine, recs []Pair[K, V], partition func(K) uint64) *Dataset[K, V] {
+// partitioned by key with the engine's partitioner: the once-per-run
+// upload that makes the dataset resident. The decomposition into
+// NumMapShards fixed splits and the shard-order merge per partition
+// make the layout identical for every cluster shape.
+func Shard[V any](e *Engine, recs []Pair[int32, V]) *Dataset[int32, V] {
 	n := len(recs)
-	buckets := make([][][]Pair[K, V], NumMapShards)
+	buckets := make([][][]Pair[int32, V], NumMapShards)
 	e.mapPool.ForEach(NumMapShards, func(s int) {
 		lo, hi := shardBounds(s, n)
 		if lo >= hi {
 			return
 		}
-		local := make([][]Pair[K, V], NumPartitions)
+		local := make([][]Pair[int32, V], NumPartitions)
 		for _, r := range recs[lo:hi] {
-			p := partIndex(partition, r.Key)
+			p := partIndex(r.Key)
 			local[p] = append(local[p], r)
 		}
 		buckets[s] = local
 	})
-	d := emptyDataset[K, V]()
+	d := emptyDataset[int32, V]()
 	e.reducePool.ForEach(NumPartitions, func(p int) {
-		var part []Pair[K, V]
+		var part []Pair[int32, V]
 		for s := 0; s < NumMapShards; s++ {
 			if buckets[s] != nil {
 				part = append(part, buckets[s][p]...)
@@ -696,30 +706,30 @@ func (r *Round) add(s Stats) { r.stats.merge(s) }
 // RunJob executes one MapReduce job inside a round, over the resident
 // dataset followed by the extra records (the drivers' markers enter
 // each round this way, so the O(E) edge dataset is never copied).
-// partition maps an intermediate key to a shuffle partition; it must be
-// deterministic. combineFn may be nil (no combiner).
+// Intermediate keys are int32 and go to the partition the engine's
+// fixed partitioner picks. combineFn may be nil (no combiner).
 //
 // Determinism: the map phase processes NumMapShards fixed splits of the
 // input stream, each filling private per-partition buckets (a combiner
-// ships its folded records in sorted key order); the shuffle
-// concatenates buckets in shard order, so a reducer sees each key's
-// values in input order; reducers fold their partition's keys in sorted
-// order into the output partition file. No merge point depends on which
-// worker ran what, so any cluster shape produces bit-identical output.
-func RunJob[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
+// ships its folded records in ascending key order); a reducer reads
+// its partition's buckets in shard order and groups them with a stable
+// radix sort on the key, so it sees each key's values in input order,
+// and folds the keys in ascending order into the output partition file.
+// No merge point depends on which worker ran what, so any cluster shape
+// produces bit-identical output.
+func RunJob[K1 comparable, V1 any, V2 any, V3 any](
 	rd *Round,
 	in *Dataset[K1, V1],
 	extra []Pair[K1, V1],
-	mapFn Mapper[K1, V1, K2, V2],
-	combineFn Combiner[K2, V2],
-	reduceFn Reducer[K2, V2, V3],
-	partition func(K2) uint64,
-) (*Dataset[K2, V3], Stats, error) {
+	mapFn Mapper[K1, V1, V2],
+	combineFn Combiner[V2],
+	reduceFn Reducer[V2, V3],
+) (*Dataset[int32, V3], Stats, error) {
 	if rd == nil {
 		return nil, Stats{}, fmt.Errorf("mapreduce: RunJob needs a round")
 	}
-	if mapFn == nil || reduceFn == nil || partition == nil {
-		return nil, Stats{}, fmt.Errorf("mapreduce: nil map, reduce, or partition function")
+	if mapFn == nil || reduceFn == nil {
+		return nil, Stats{}, fmt.Errorf("mapreduce: nil map or reduce function")
 	}
 	e := rd.e
 	if in == nil {
@@ -741,7 +751,7 @@ func RunJob[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
 	// below (and a real cluster's task retry) safe.
 	mapStart := time.Now()
 	type mapOut struct {
-		buckets [][]Pair[K2, V2]
+		buckets [][]Pair[int32, V2]
 		err     error
 	}
 	computeShard := func(s int) mapOut {
@@ -749,11 +759,11 @@ func RunJob[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
 		if lo >= hi {
 			return mapOut{}
 		}
-		local := make([][]Pair[K2, V2], NumPartitions)
+		local := make([][]Pair[int32, V2], NumPartitions)
 		if combineFn == nil {
-			emit := func(k K2, v V2) {
-				p := partIndex(partition, k)
-				local[p] = append(local[p], Pair[K2, V2]{Key: k, Value: v})
+			emit := func(k int32, v V2) {
+				p := partIndex(k)
+				local[p] = append(local[p], Pair[int32, V2]{Key: k, Value: v})
 			}
 			err := in.scanRange(extra, lo, hi, func(r Pair[K1, V1]) {
 				mapFn(r.Key, r.Value, emit)
@@ -761,27 +771,22 @@ func RunJob[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
 			return mapOut{buckets: local, err: err}
 		}
 		// Combine per shard: group this shard's emissions by key, fold
-		// each key once, and ship the folded records in sorted key order
-		// so the bucket contents stay deterministic.
-		groups := make(map[K2][]V2)
-		emit := func(k K2, v V2) { groups[k] = append(groups[k], v) }
+		// each key once, and ship the folded records in ascending key
+		// order so the bucket contents stay deterministic.
+		emitted := make([]Pair[int32, V2], 0, hi-lo)
+		emit := func(k int32, v V2) { emitted = append(emitted, Pair[int32, V2]{Key: k, Value: v}) }
 		if err := in.scanRange(extra, lo, hi, func(r Pair[K1, V1]) {
 			mapFn(r.Key, r.Value, emit)
 		}); err != nil {
 			return mapOut{err: err}
 		}
-		keys := make([]K2, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			p := partIndex(partition, k)
-			local[p] = append(local[p], Pair[K2, V2]{Key: k, Value: combineFn(k, groups[k])})
-		}
+		groupByKey([][]Pair[int32, V2]{emitted}, func(k int32, vals []V2) {
+			p := partIndex(k)
+			local[p] = append(local[p], Pair[int32, V2]{Key: k, Value: combineFn(k, vals)})
+		})
 		return mapOut{buckets: local}
 	}
-	buckets := make([][][]Pair[K2, V2], NumMapShards)
+	buckets := make([][][]Pair[int32, V2], NumMapShards)
 	mapErrs := make([]error, NumMapShards)
 	e.mapPool.ForEach(NumMapShards, func(s int) {
 		r := computeShard(s)
@@ -820,47 +825,32 @@ func RunJob[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
 	}
 
 	// Shuffle + reduce phase: workers claim shuffle partitions; each
-	// partition's shard buckets are concatenated in shard order, grouped
-	// by key, and folded in sorted key order into the partition's output
-	// file. reducePart is pure in the shard buckets, so a lost reduce
-	// task is recovered below by recomputing its partition — the
+	// partition's shard buckets are read in shard order, radix-grouped
+	// by key, and folded in ascending key order into the partition's
+	// output file. reducePart is pure in the shard buckets, so a lost
+	// reduce task is recovered below by recomputing its partition — the
 	// simulated analogue of a reducer re-fetching map outputs.
 	reduceStart := time.Now()
-	out := emptyDataset[K2, V3]()
-	recSize := int64(unsafe.Sizeof(Pair[K2, V2]{}))
+	out := emptyDataset[int32, V3]()
+	recSize := int64(unsafe.Sizeof(Pair[int32, V2]{}))
 	partRecs := make([]int64, NumPartitions)
 	type reduceOut struct {
-		part []Pair[K2, V3]
+		part []Pair[int32, V3]
 		recs int64
 	}
 	reducePart := func(p int) reduceOut {
-		groups := make(map[K2][]V2)
-		var local int64
-		for s := 0; s < NumMapShards; s++ {
-			if buckets[s] == nil {
-				continue
-			}
-			for _, kv := range buckets[s][p] {
-				groups[kv.Key] = append(groups[kv.Key], kv.Value)
-				local++
+		chunks := make([][]Pair[int32, V2], 0, NumMapShards)
+		for _, b := range buckets {
+			if b != nil && len(b[p]) > 0 {
+				chunks = append(chunks, b[p])
 			}
 		}
-		if len(groups) == 0 {
-			return reduceOut{recs: local}
+		var outPart []Pair[int32, V3]
+		emit := func(k int32, v V3) {
+			outPart = append(outPart, Pair[int32, V3]{Key: k, Value: v})
 		}
-		keys := make([]K2, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		var outPart []Pair[K2, V3]
-		emit := func(k K2, v V3) {
-			outPart = append(outPart, Pair[K2, V3]{Key: k, Value: v})
-		}
-		for _, k := range keys {
-			reduceFn(k, groups[k], emit)
-		}
-		return reduceOut{part: outPart, recs: local}
+		recs := groupByKey(chunks, func(k int32, vals []V2) { reduceFn(k, vals, emit) })
+		return reduceOut{part: outPart, recs: int64(recs)}
 	}
 	e.reducePool.ForEach(NumPartitions, func(p int) {
 		r := reducePart(p)
@@ -902,47 +892,44 @@ func RunJob[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
 // single-job engine — the convenience entry point for standalone jobs
 // and tests. The peeling drivers use Engine/Shard/RunJob directly so
 // their edge dataset stays resident across rounds.
-func Run[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
+func Run[K1 comparable, V1 any, V2 any, V3 any](
 	cfg Config,
 	input []Pair[K1, V1],
-	mapFn Mapper[K1, V1, K2, V2],
-	reduceFn Reducer[K2, V2, V3],
-	partition func(K2) uint64,
-) ([]Pair[K2, V3], Stats, error) {
-	return runFlat(cfg, input, mapFn, nil, reduceFn, partition)
+	mapFn Mapper[K1, V1, V2],
+	reduceFn Reducer[V2, V3],
+) ([]Pair[int32, V3], Stats, error) {
+	return runFlat(cfg, input, mapFn, nil, reduceFn)
 }
 
 // RunCombined is Run with a per-shard combiner applied before the
 // shuffle, cutting ShuffleRecords for aggregation jobs (like degree
 // counting) from O(records) to O(distinct keys per shard).
-func RunCombined[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
+func RunCombined[K1 comparable, V1 any, V2 any, V3 any](
 	cfg Config,
 	input []Pair[K1, V1],
-	mapFn Mapper[K1, V1, K2, V2],
-	combineFn Combiner[K2, V2],
-	reduceFn Reducer[K2, V2, V3],
-	partition func(K2) uint64,
-) ([]Pair[K2, V3], Stats, error) {
+	mapFn Mapper[K1, V1, V2],
+	combineFn Combiner[V2],
+	reduceFn Reducer[V2, V3],
+) ([]Pair[int32, V3], Stats, error) {
 	if combineFn == nil {
 		return nil, Stats{}, fmt.Errorf("mapreduce: nil combine function")
 	}
-	return runFlat(cfg, input, mapFn, combineFn, reduceFn, partition)
+	return runFlat(cfg, input, mapFn, combineFn, reduceFn)
 }
 
-func runFlat[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
+func runFlat[K1 comparable, V1 any, V2 any, V3 any](
 	cfg Config,
 	input []Pair[K1, V1],
-	mapFn Mapper[K1, V1, K2, V2],
-	combineFn Combiner[K2, V2],
-	reduceFn Reducer[K2, V2, V3],
-	partition func(K2) uint64,
-) ([]Pair[K2, V3], Stats, error) {
+	mapFn Mapper[K1, V1, V2],
+	combineFn Combiner[V2],
+	reduceFn Reducer[V2, V3],
+) ([]Pair[int32, V3], Stats, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	defer e.Cleanup()
-	out, stats, err := RunJob(e.StartRound(), nil, input, mapFn, combineFn, reduceFn, partition)
+	out, stats, err := RunJob(e.StartRound(), nil, input, mapFn, combineFn, reduceFn)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -951,10 +938,4 @@ func runFlat[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
 		return nil, Stats{}, err
 	}
 	return recs, stats, nil
-}
-
-// PartitionInt32 is the standard partitioner for int32 node-id keys
-// (Fibonacci hashing so adjacent ids spread across partitions).
-func PartitionInt32(k int32) uint64 {
-	return (uint64(uint32(k)) * 0x9e3779b97f4a7c15) >> 13
 }

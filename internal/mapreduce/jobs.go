@@ -1,5 +1,7 @@
 package mapreduce
 
+import "fmt"
+
 // The two jobs every peeling driver is built from: the degree count and
 // the marker join of §5.2. Both operate on the resident edge Dataset;
 // per-round markers enter as extra records so the O(E) edge set is
@@ -41,7 +43,7 @@ func degreeJob(rd *Round, edges *Dataset[int32, int32], bothEnds, flip bool) (*D
 			}
 			emit(u, total)
 		}
-		return RunJob(rd, edges, nil, mapFn, combineFn, reduceFn, PartitionInt32)
+		return RunJob(rd, edges, nil, mapFn, combineFn, reduceFn)
 	}
 	mapFn := func(u, v int32, emit func(int32, int32)) {
 		k, o := u, v
@@ -56,7 +58,7 @@ func degreeJob(rd *Round, edges *Dataset[int32, int32], bothEnds, flip bool) (*D
 	reduceFn := func(u int32, neighbors []int32, emit func(int32, int32)) {
 		emit(u, int32(len(neighbors)))
 	}
-	return RunJob(rd, edges, nil, mapFn, nil, reduceFn, PartitionInt32)
+	return RunJob(rd, edges, nil, mapFn, nil, reduceFn)
 }
 
 // filterJob is the §5.2 marker join: the resident edges plus (node, $)
@@ -87,7 +89,7 @@ func filterJob(rd *Round, edges *Dataset[int32, int32], markers []Pair[int32, in
 			}
 		}
 	}
-	out, stats, err := RunJob(rd, edges, markers, mapFn, nil, reduceFn, PartitionInt32)
+	out, stats, err := RunJob(rd, edges, markers, mapFn, nil, reduceFn)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -100,6 +102,30 @@ func filterJob(rd *Round, edges *Dataset[int32, int32], markers []Pair[int32, in
 		return nil, stats, err
 	}
 	return out, stats, nil
+}
+
+// loadDegrees reads a degree job's output into deg, the coordinator's
+// O(n) degree table: it is cleared first, so an alive node without a
+// degree record (no surviving edge) reads 0. The consumed dataset is
+// discarded. A node id outside the table can only come from a corrupt
+// checkpoint and is reported rather than indexed.
+func loadDegrees(degs *Dataset[int32, int32], deg []int32) error {
+	clear(deg)
+	var bad error
+	err := degs.Each(func(u, d int32) {
+		if uint32(u) >= uint32(len(deg)) {
+			if bad == nil {
+				bad = fmt.Errorf("degree record for node %d outside [0, %d)", u, len(deg))
+			}
+			return
+		}
+		deg[u] = d
+	})
+	degs.Discard()
+	if err != nil {
+		return err
+	}
+	return bad
 }
 
 // DegreeJobStats runs the degree job over a whole graph's edge set,
@@ -120,6 +146,6 @@ func DegreeJobStats(g interface {
 		recs = append(recs, Pair[int32, int32]{Key: u, Value: v})
 		return true
 	})
-	_, stats, err := degreeJob(e.StartRound(), Shard(e, recs, PartitionInt32), true, false)
+	_, stats, err := degreeJob(e.StartRound(), Shard(e, recs), true, false)
 	return stats, err
 }

@@ -18,32 +18,31 @@ func TestRunWordCount(t *testing.T) {
 		{Key: 1, Value: "the lazy dog"},
 		{Key: 2, Value: "the fox"},
 	}
-	mapFn := func(_ int, text string, emit func(string, int)) {
+	// Shuffle keys are int32, so words travel as ids from a small table.
+	words := []string{"the", "quick", "brown", "fox", "lazy", "dog"}
+	wordID := make(map[string]int32, len(words))
+	for i, w := range words {
+		wordID[w] = int32(i)
+	}
+	mapFn := func(_ int, text string, emit func(int32, int)) {
 		for _, w := range strings.Fields(text) {
-			emit(w, 1)
+			emit(wordID[w], 1)
 		}
 	}
-	reduceFn := func(w string, counts []int, emit func(string, int)) {
+	reduceFn := func(id int32, counts []int, emit func(int32, int)) {
 		total := 0
 		for _, c := range counts {
 			total += c
 		}
-		emit(w, total)
+		emit(id, total)
 	}
-	partition := func(w string) uint64 {
-		var h uint64 = 14695981039346656037
-		for i := 0; i < len(w); i++ {
-			h = (h ^ uint64(w[i])) * 1099511628211
-		}
-		return h
-	}
-	out, stats, err := Run(DefaultConfig, docs, mapFn, reduceFn, partition)
+	out, stats, err := Run(DefaultConfig, docs, mapFn, reduceFn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make(map[string]int)
 	for _, p := range out {
-		counts[p.Key] = p.Value
+		counts[words[p.Key]] = p.Value
 	}
 	want := map[string]int{"the": 3, "quick": 1, "brown": 1, "fox": 2, "lazy": 1, "dog": 1}
 	for w, c := range want {
@@ -62,27 +61,24 @@ func TestRunWordCount(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	id := func(k int32, v int32, emit func(int32, int32)) { emit(k, v) }
 	red := func(k int32, vs []int32, emit func(int32, int32)) { emit(k, 0) }
-	if _, _, err := Run(Config{Mappers: -1, Reducers: 1}, nil, id, red, PartitionInt32); err == nil {
+	if _, _, err := Run(Config{Mappers: -1, Reducers: 1}, nil, id, red); err == nil {
 		t.Fatal("negative mappers accepted")
 	}
-	if _, _, err := Run(Config{Mappers: 1, Reducers: -1}, nil, id, red, PartitionInt32); err == nil {
+	if _, _, err := Run(Config{Mappers: 1, Reducers: -1}, nil, id, red); err == nil {
 		t.Fatal("negative reducers accepted")
 	}
-	if _, _, err := Run[int32, int32, int32, int32, int32](DefaultConfig, nil, nil, red, PartitionInt32); err == nil {
+	if _, _, err := Run[int32, int32, int32, int32](DefaultConfig, nil, nil, red); err == nil {
 		t.Fatal("nil mapper accepted")
 	}
-	if _, _, err := Run[int32, int32, int32, int32, int32](DefaultConfig, nil, id, nil, PartitionInt32); err == nil {
+	if _, _, err := Run[int32, int32, int32, int32](DefaultConfig, nil, id, nil); err == nil {
 		t.Fatal("nil reducer accepted")
-	}
-	if _, _, err := Run(DefaultConfig, nil, id, red, nil); err == nil {
-		t.Fatal("nil partitioner accepted")
 	}
 }
 
 func TestRunEmptyInput(t *testing.T) {
 	id := func(k int32, v int32, emit func(int32, int32)) { emit(k, v) }
 	red := func(k int32, vs []int32, emit func(int32, int32)) { emit(k, int32(len(vs))) }
-	out, stats, err := Run(DefaultConfig, nil, id, red, PartitionInt32)
+	out, stats, err := Run(DefaultConfig, nil, id, red)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +124,7 @@ func TestFilterJobDropsMarked(t *testing.T) {
 		{Key: 0, Value: 1},
 		{Key: 0, Value: 2},
 		{Key: 3, Value: 4},
-	}, PartitionInt32)
+	})
 	markers := []Pair[int32, int32]{{Key: 0, Value: mark}} // node 0 removed
 	out, _, err := filterJob(e.StartRound(), edges, markers, false, false)
 	if err != nil {

@@ -160,8 +160,8 @@ func TestSpillDatasetReads(t *testing.T) {
 	}
 	defer spilly.Cleanup()
 
-	want := Shard(resident, recs, PartitionInt32)
-	got := Shard(spilly, recs, PartitionInt32)
+	want := Shard(resident, recs)
+	got := Shard(spilly, recs)
 	if err := maybeSpill(spilly, got); err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +185,11 @@ func TestSpillDatasetReads(t *testing.T) {
 
 	mapFn := func(k int32, v int32, emit func(int32, int32)) { emit(k, v) }
 	reduceFn := func(k int32, vs []int32, emit func(int32, int32)) { emit(k, int32(len(vs))) }
-	wout, _, err := RunJob(resident.StartRound(), want, nil, mapFn, nil, reduceFn, PartitionInt32)
+	wout, _, err := RunJob(resident.StartRound(), want, nil, mapFn, nil, reduceFn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gout, _, err := RunJob(spilly.StartRound(), got, nil, mapFn, nil, reduceFn, PartitionInt32)
+	gout, _, err := RunJob(spilly.StartRound(), got, nil, mapFn, nil, reduceFn)
 	if err != nil {
 		t.Fatal(err)
 	}
