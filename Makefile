@@ -16,7 +16,7 @@ BENCH_ALLOC_GATED = BenchmarkFileStreamPeel,BenchmarkBinaryStreamPeel,BenchmarkM
 BENCH_PATTERN = BenchmarkTable1|BenchmarkParallelPeel|BenchmarkMapReducePeel|BenchmarkMapReduceCheckpoint|BenchmarkMapReduceSpill|BenchmarkFileStreamPeel|BenchmarkBinaryStreamPeel|BenchmarkConvert|BenchmarkCore|BenchmarkServe|BenchmarkDynamic
 BENCH_PKGS = . ./internal/core ./internal/serve
 
-.PHONY: build test race fuzz-smoke bench bench-core bench-mr bench-json bench-trend fmt fmt-check vet api-check api-snapshot serve-smoke ci
+.PHONY: build test race fuzz-smoke perfbench-test bench bench-core bench-mr bench-json bench-trend fmt fmt-check vet api-check api-snapshot serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,11 @@ race:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadUndirectedBinary -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzReadTextFile -fuzztime=10s ./internal/graph
+
+# perfbench is a module of its own, outside `go test ./...`: vet it and
+# run its self-test, which drives every workload at a small size.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
@@ -96,4 +101,4 @@ vet:
 
 # bench-trend mirrors CI's gate; refresh the committed baseline
 # deliberately with `make bench-json`.
-ci: build vet fmt-check api-check test race serve-smoke bench-trend
+ci: build vet fmt-check api-check test perfbench-test race serve-smoke bench-trend

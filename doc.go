@@ -143,15 +143,17 @@
 //     passes, and a pass in steady state allocates nothing.
 //   - BackendPeel and BackendMapReduce load the file through
 //     ReadUndirectedFile/ReadDirectedFile. Workers parse byte ranges
-//     of a text file. When every label is a canonical integer ("0" or
-//     digits without a leading zero, at most MaxInt32 — SNAP dumps),
-//     the labels are parsed straight to int32 and relabelled in
-//     first-seen order through an integer remap, with no label
-//     strings: LabelMap renders a label only when asked. Any other text
-//     file interns its label strings in file order. A binary file
-//     takes the integer remap too. Either way the edges land in one
-//     buffer that the builder turns into CSR by counting sort, and the
-//     graph is bit-identical to a sequential parse of the text form.
+//     of a text file, or decode block ranges of a binary file, each
+//     into its own region of one edge buffer. When every label is a
+//     canonical integer ("0" or digits without a leading zero, at most
+//     MaxInt32 — SNAP dumps), and always for a binary file, the labels
+//     are int32 and relabelled in place in first-seen order by a
+//     parallel pass over the regions, with no label strings: LabelMap
+//     renders a label only when asked. Any other text file interns its
+//     label strings in file order. The regions then go through a
+//     stable parallel counting sort into CSR, and the graph is
+//     bit-identical to a sequential parse of the text form at every
+//     worker count.
 //   - BackendMapReduce additionally bounds its resident footprint:
 //     with MRConfig.SpillBytes > 0 (CLI: -spill-mb), dataset
 //     partitions past the budget spill to per-partition binary files
@@ -327,10 +329,11 @@
 // Graphs are built with NewBuilder/NewDirectedBuilder or parsed from
 // SNAP-style edge lists with ReadUndirected/ReadDirected (or their
 // file variants ReadUndirectedFile/ReadDirectedFile, which also read
-// binary files). Freeze builds the CSR by counting sort: a degree
-// histogram, a prefix sum, one scatter of the edges into their rows,
-// then a parallel per-row sort and merge, with the weights of parallel
-// edges summed in insertion order. All algorithms are deterministic
+// binary files). Freeze builds the CSR by a stable parallel counting
+// sort: a row histogram per segment of the edges, a prefix sum in
+// row-major, segment-minor order, one parallel scatter of the edges
+// into their rows, then a parallel per-row sort and merge, with the
+// weights of parallel edges summed in insertion order. All algorithms are deterministic
 // given their inputs (and seeds, where applicable) at every worker
 // count.
 //

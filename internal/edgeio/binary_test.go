@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -395,6 +396,70 @@ func TestMmapParity(t *testing.T) {
 	}
 }
 
+// TestBinaryNextBlockMatchesNext checks NextBlock yields what Next
+// does, on both readers and both lanes, also after a Next call has
+// taken the first edge of a block: weights on the weighted lane of a
+// weighted file, nil otherwise.
+func TestBinaryNextBlockMatchesNext(t *testing.T) {
+	type blockReader interface {
+		WeightedReader
+		NextBlock() ([]Edge, []float64, error)
+		Close() error
+	}
+	dir := t.TempDir()
+	for _, tc := range binaryCases() {
+		path := writeBinaryFile(t, dir, tc.name+".bsg", tc.edges, tc.weighted, tc.blockEdges)
+		srcs := []BinarySource{}
+		if fs, err := OpenBinaryFileSource(path); err == nil {
+			srcs = append(srcs, fs)
+		} else {
+			t.Fatal(err)
+		}
+		if ms, err := OpenMmapSource(path); err == nil {
+			srcs = append(srcs, ms)
+			defer ms.Close()
+		}
+		for _, src := range srcs {
+			for k := 1; k <= 3; k++ {
+				for _, r := range src.WeightedShards(k) {
+					want := drainBinaryWeighted(t, r)
+					br := r.(blockReader)
+					if err := br.Reset(); err != nil {
+						t.Fatal(err)
+					}
+					var got []WeightedEdge
+					if e, err := br.Next(); err == nil {
+						got = append(got, e)
+					}
+					for {
+						edges, weights, err := br.NextBlock()
+						if err == io.EOF {
+							break
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if (weights != nil) != tc.weighted || weights != nil && len(weights) != len(edges) {
+							t.Fatalf("%s %T: %d weights for %d edges", tc.name, src, len(weights), len(edges))
+						}
+						for i, e := range edges {
+							w := 1.0
+							if weights != nil {
+								w = weights[i]
+							}
+							got = append(got, WeightedEdge{U: e.U, V: e.V, Weight: w})
+						}
+					}
+					if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+						t.Fatalf("%s %T k=%d: NextBlock %v, Next %v", tc.name, src, k, got, want)
+					}
+					br.Close()
+				}
+			}
+		}
+	}
+}
+
 func TestMmapCloseIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	path := writeBinaryFile(t, dir, "c.bsg", []WeightedEdge{{U: 0, V: 1, Weight: 1}}, false, 0)
@@ -419,7 +484,7 @@ func TestMmapCloseIdempotent(t *testing.T) {
 
 // TestBinaryConcurrentShards scans disjoint shards from concurrent
 // goroutines over several passes — the -race smoke for both binary
-// sources.
+// sources — and checks ShardStarts against each shard's edge count.
 func TestBinaryConcurrentShards(t *testing.T) {
 	dir := t.TempDir()
 	var edges []WeightedEdge
@@ -470,6 +535,12 @@ func TestBinaryConcurrentShards(t *testing.T) {
 			}
 			if total != int64(len(edges)) {
 				t.Fatalf("%T pass %d: %d edges, want %d", src, pass, total, len(edges))
+			}
+			starts := src.ShardStarts(8)
+			for i, c := range counts {
+				if starts[i+1]-starts[i] != c {
+					t.Fatalf("%T: ShardStarts %v does not match shard %d's %d edges", src, starts, i, c)
+				}
 			}
 		}
 	}

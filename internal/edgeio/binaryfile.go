@@ -18,6 +18,11 @@ type BinarySource interface {
 	Nodes() int
 	// NumEdges is the trailer's total edge count.
 	NumEdges() int64
+	// ShardStarts returns, for the shards Shards(k) and WeightedShards(k)
+	// cut, the record number of each shard's first edge, taken from the
+	// block index, followed by NumEdges: shard i holds the edges
+	// [starts[i], starts[i+1]).
+	ShardStarts(k int) []int64
 	// Weighted reports whether the file carries a weight column.
 	Weighted() bool
 	// Path returns the file path.
@@ -108,6 +113,9 @@ func (s *BinaryFileSource) BlockShards(k int) []*BinaryShard {
 	return shards
 }
 
+// ShardStarts implements BinarySource.
+func (s *BinaryFileSource) ShardStarts(k int) []int64 { return s.meta.shardStarts(k) }
+
 // Shards implements Source.
 func (s *BinaryFileSource) Shards(k int) []Reader {
 	bs := s.BlockShards(k)
@@ -148,6 +156,20 @@ func blockRanges(nblocks, k int) [][2]int {
 		out[i] = [2]int{nblocks * i / k, nblocks * (i + 1) / k}
 	}
 	return out
+}
+
+// shardStarts returns the first record number of each of the k block
+// ranges blockRanges cuts, followed by the total edge count.
+func (m *binaryMeta) shardStarts(k int) []int64 {
+	ranges := blockRanges(len(m.index), k)
+	starts := make([]int64, len(ranges)+1)
+	for i, r := range ranges {
+		if r[0] < len(m.index) {
+			starts[i] = m.index[r[0]].first
+		}
+	}
+	starts[len(ranges)] = m.edges
+	return starts
 }
 
 // BinaryShard scans one block range of a BinaryFileSource. It
@@ -257,6 +279,27 @@ func (sh *BinaryShard) fill() error {
 	return nil
 }
 
+// NextBlock returns the rest of the current block, decoding the next
+// block of the range when the current one is used up: its edges and,
+// when the shard decodes weights (the weighted lane of a weighted
+// file), their weights, else nil. Both alias the shard's buffers and
+// stay valid until the next call; io.EOF ends the range. It is Next a
+// block at a time, for readers that would otherwise pay a call per
+// edge.
+func (sh *BinaryShard) NextBlock() ([]Edge, []float64, error) {
+	for sh.pos >= sh.have {
+		if err := sh.fill(); err != nil {
+			return nil, nil, err
+		}
+	}
+	lo := sh.pos
+	sh.pos = sh.have
+	if !sh.decodeWeights {
+		return sh.edges[lo:sh.have], nil, nil
+	}
+	return sh.edges[lo:sh.have], sh.weights[lo:sh.have], nil
+}
+
 // Next implements Reader.
 func (sh *BinaryShard) Next() (Edge, error) {
 	for sh.pos >= sh.have {
@@ -306,6 +349,9 @@ type binaryWeightedShard struct {
 
 // Reset implements WeightedReader.
 func (w binaryWeightedShard) Reset() error { return w.sh.Reset() }
+
+// NextBlock is the underlying shard's NextBlock.
+func (w binaryWeightedShard) NextBlock() ([]Edge, []float64, error) { return w.sh.NextBlock() }
 
 // Next implements WeightedReader.
 func (w binaryWeightedShard) Next() (WeightedEdge, error) {

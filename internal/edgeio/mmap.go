@@ -95,6 +95,9 @@ func (s *MmapSource) BlockShards(k int) []*MmapShard {
 	return shards
 }
 
+// ShardStarts implements BinarySource.
+func (s *MmapSource) ShardStarts(k int) []int64 { return s.meta.shardStarts(k) }
+
 // Shards implements Source.
 func (s *MmapSource) Shards(k int) []Reader {
 	ms := s.BlockShards(k)
@@ -196,6 +199,27 @@ func (sh *MmapShard) fill() error {
 	return nil
 }
 
+// NextBlock returns the rest of the current block, decoding the next
+// block of the range when the current one is used up: its edges and,
+// when the shard decodes weights (the weighted lane of a weighted
+// file), their weights, else nil. Both alias the shard's buffers and
+// stay valid until the next call; io.EOF ends the range. It is Next a
+// block at a time, for readers that would otherwise pay a call per
+// edge.
+func (sh *MmapShard) NextBlock() ([]Edge, []float64, error) {
+	for sh.pos >= sh.have {
+		if err := sh.fill(); err != nil {
+			return nil, nil, err
+		}
+	}
+	lo := sh.pos
+	sh.pos = sh.have
+	if !sh.decodeWeights {
+		return sh.edges[lo:sh.have], nil, nil
+	}
+	return sh.edges[lo:sh.have], sh.weights[lo:sh.have], nil
+}
+
 // Next implements Reader.
 func (sh *MmapShard) Next() (Edge, error) {
 	for sh.pos >= sh.have {
@@ -233,6 +257,9 @@ type mmapWeightedShard struct {
 
 // Reset implements WeightedReader.
 func (w mmapWeightedShard) Reset() error { return w.sh.Reset() }
+
+// NextBlock is the underlying shard's NextBlock.
+func (w mmapWeightedShard) NextBlock() ([]Edge, []float64, error) { return w.sh.NextBlock() }
 
 // Next implements WeightedReader.
 func (w mmapWeightedShard) Next() (WeightedEdge, error) {

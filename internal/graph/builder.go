@@ -63,11 +63,17 @@ func (b *Builder) Freeze() (*Undirected, error) {
 		return nil, fmt.Errorf("graph: Freeze called twice")
 	}
 	b.frozen = true
-	g := &Undirected{n: b.n}
-	var err error
-	g.offsets, g.adj, g.weights, err = csrRows(b.n, b.edges, true, true, b.weighted)
+	edges := b.edges
 	b.edges = nil
-	if err != nil {
+	return newUndirected(b.n, segments(edges), b.weighted)
+}
+
+// newUndirected freezes the edges of segs, taken in order as one
+// insertion sequence, into an undirected graph on n nodes.
+func newUndirected(n int, segs [][]Edge, weighted bool) (*Undirected, error) {
+	g := &Undirected{n: n}
+	var err error
+	if g.offsets, g.adj, g.weights, err = csrRows(n, segs, true, true, weighted); err != nil {
 		return nil, err
 	}
 	g.m = int64(len(g.adj) / 2)
@@ -82,48 +88,115 @@ func (b *Builder) Freeze() (*Undirected, error) {
 	return g, nil
 }
 
-// csrRows builds CSR rows over n nodes from edges by counting sort: a
-// row-length histogram, a prefix sum, and one scatter in insertion
-// order, after which packRows sorts and merges each row. With out set,
-// edge (u, v) puts v in row u; with in set, it puts u in row v.
-func csrRows(n int, edges []Edge, out, in, weighted bool) ([]int32, []int32, []float64, error) {
-	if 2*len(edges) > math.MaxInt32 {
-		return nil, nil, nil, fmt.Errorf("graph: %d edges overflow the int32 CSR", len(edges))
+// minSegment is the fewest edges segments gives a segment of its own,
+// so small builds (the many tiny graphs of tests and generators) keep
+// one segment and one row histogram.
+const minSegment = 1 << 15
+
+// segments cuts edges into up to GOMAXPROCS contiguous segments of
+// near-equal length, at least minSegment edges each, for csrRows.
+func segments(edges []Edge) [][]Edge {
+	k := max(1, min(par.Clamp(0), len(edges)/minSegment))
+	segs := make([][]Edge, k)
+	for i := range segs {
+		segs[i] = edges[len(edges)*i/k : len(edges)*(i+1)/k]
 	}
+	return segs
+}
+
+// csrRows builds CSR rows over n nodes from the edges of segs, taken in
+// order as one insertion sequence, by a stable parallel counting sort:
+// runs of consecutive segments form up to GOMAXPROCS groups; every group
+// counts its row entries in its own histogram; a prefix sum in
+// row-major, group-minor order turns each histogram into the group's
+// first slot in every row; and the groups scatter in parallel. Every
+// row thus holds its entries in insertion order, the result of the
+// sequential scatter whatever the segmentation, and packRows then sorts
+// and merges each row. The group count also keeps the histograms no
+// larger than the adjacency array. With out set, edge (u, v) puts v in
+// row u; with in set, it puts u in row v.
+func csrRows(n int, segs [][]Edge, out, in, weighted bool) ([]int32, []int32, []float64, error) {
+	total := 0
+	for _, seg := range segs {
+		total += len(seg)
+	}
+	if 2*total > math.MaxInt32 {
+		return nil, nil, nil, fmt.Errorf("graph: %d edges overflow the int32 CSR", total)
+	}
+	pool := par.Acquire(0)
+	defer pool.Release()
+	entries := total
+	if out && in {
+		entries *= 2
+	}
+	groups := groupRuns(segs, total, min(pool.Workers(), max(1, entries/(n+1))))
+	hist := make([][]int32, len(groups))
+	pool.RunTasks(len(groups), func(g int) {
+		h := make([]int32, n+1) // the spare slot lets packRows reuse hist[0]
+		for _, seg := range groups[g] {
+			for _, e := range seg {
+				if out {
+					h[e.U]++
+				}
+				if in {
+					h[e.V]++
+				}
+			}
+		}
+		hist[g] = h
+	})
 	offsets := make([]int32, n+1)
-	for _, e := range edges {
-		if out {
-			offsets[e.U+1]++
-		}
-		if in {
-			offsets[e.V+1]++
+	var next int32
+	for u := range n {
+		offsets[u] = next
+		for _, h := range hist {
+			h[u], next = next, next+h[u]
 		}
 	}
-	rowStarts(offsets)
-	adj := make([]int32, offsets[n])
+	offsets[n] = next
+	adj := make([]int32, next)
 	var weights []float64
 	if weighted {
 		weights = make([]float64, len(adj))
 	}
-	cursor := slices.Clone(offsets[:n])
-	put := func(row, nbr int32, w float64) {
-		c := cursor[row]
-		adj[c] = nbr
-		if weights != nil {
-			weights[c] = w
+	pool.RunTasks(len(groups), func(g int) {
+		cursor := hist[g]
+		put := func(row, nbr int32, w float64) {
+			c := cursor[row]
+			adj[c] = nbr
+			if weights != nil {
+				weights[c] = w
+			}
+			cursor[row] = c + 1
 		}
-		cursor[row] = c + 1
-	}
-	for _, e := range edges {
-		if out {
-			put(e.U, e.V, e.Weight)
+		for _, seg := range groups[g] {
+			for _, e := range seg {
+				if out {
+					put(e.U, e.V, e.Weight)
+				}
+				if in {
+					put(e.V, e.U, e.Weight)
+				}
+			}
 		}
-		if in {
-			put(e.V, e.U, e.Weight)
-		}
-	}
-	offsets, adj, weights = packRows(offsets, adj, weights)
+	})
+	offsets, adj, weights = packRows(pool, offsets, adj, weights, hist[0])
 	return offsets, adj, weights, nil
+}
+
+// groupRuns cuts segs, holding total edges, into between 1 and k runs
+// of consecutive segments with near-equal edge counts.
+func groupRuns(segs [][]Edge, total, k int) [][][]Edge {
+	groups := make([][][]Edge, 0, k)
+	lo, done := 0, 0
+	for i, seg := range segs {
+		done += len(seg)
+		if len(groups) < k-1 && done*k >= total*(len(groups)+1) {
+			groups = append(groups, segs[lo:i+1])
+			lo = i + 1
+		}
+	}
+	return append(groups, segs[lo:])
 }
 
 // rowStarts turns per-row counts stored at offsets[u+1] into CSR row
@@ -140,12 +213,11 @@ func rowStarts(offsets []int32) {
 // insertion order sums its parallel edges in insertion order. Rows are
 // independent and chunked on internal/par, so the result is the same
 // for every worker count. Inputs without repeats are returned as they
-// are.
-func packRows(offsets, adj []int32, weights []float64) ([]int32, []int32, []float64) {
+// are; packed, scratch as long as offsets, becomes the new offsets
+// otherwise.
+func packRows(pool *par.Pool, offsets, adj []int32, weights []float64, packed []int32) ([]int32, []int32, []float64) {
 	n := len(offsets) - 1
-	pool := par.Acquire(0)
-	defer pool.Release()
-	packed := make([]int32, n+1)
+	packed[0] = 0
 	pool.ForChunks(n, func(_, lo, hi int) {
 		var byNbr *rowByNeighbor // one per chunk, weighted rows only
 		if weights != nil {
@@ -153,6 +225,10 @@ func packRows(offsets, adj []int32, weights []float64) ([]int32, []int32, []floa
 		}
 		for u := lo; u < hi; u++ {
 			row := adj[offsets[u]:offsets[u+1]]
+			if increasing(row) { // sorted without repeats, as sorted input scatters
+				packed[u+1] = int32(len(row))
+				continue
+			}
 			if weights == nil {
 				slices.Sort(row)
 				packed[u+1] = int32(len(slices.Compact(row)))
@@ -191,6 +267,16 @@ func packRows(offsets, adj []int32, weights []float64) ([]int32, []int32, []floa
 		}
 	})
 	return packed, out, outW
+}
+
+// increasing reports whether row is strictly increasing.
+func increasing(row []int32) bool {
+	for i := 1; i < len(row); i++ {
+		if row[i-1] >= row[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // rowByNeighbor sorts one weighted CSR row by neighbor id.

@@ -234,6 +234,60 @@ func TestFreezeSumsParallelEdgesInInsertionOrder(t *testing.T) {
 	}
 }
 
+// TestCSRRowsAnySegmentation checks csrRows gives the one-segment
+// result for random cuts of the same edges into segments, empty ones
+// included, on every row orientation and at one and four procs (so up
+// to four groups of segments). Weights of 1e16 and 1 on repeated edges
+// make any change in summation order visible. It also checks groupRuns
+// keeps the segments in order in 1..k runs.
+func TestCSRRowsAnySegmentation(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	edges := randomEdges(40, 5000, 41)
+	for i := range edges {
+		if rng.Intn(3) == 0 {
+			edges[i].Weight = 1e16
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, dir := range [][2]bool{{true, true}, {true, false}, {false, true}} {
+			wo, wa, ww, err := csrRows(40, [][]Edge{edges}, dir[0], dir[1], true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 20; trial++ {
+				cuts := []int{0, len(edges)}
+				for range rng.Intn(8) {
+					cuts = append(cuts, rng.Intn(len(edges)+1))
+				}
+				slices.Sort(cuts)
+				var segs [][]Edge
+				for i := 1; i < len(cuts); i++ {
+					segs = append(segs, edges[cuts[i-1]:cuts[i]])
+				}
+				o, a, w, err := csrRows(40, segs, dir[0], dir[1], true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(o, wo) || !slices.Equal(a, wa) || !slices.Equal(w, ww) {
+					t.Fatalf("procs=%d out=%v in=%v cuts %v: rows differ from the one-segment build", procs, dir[0], dir[1], cuts)
+				}
+				for k := 1; k <= 5; k++ {
+					groups := groupRuns(segs, len(edges), k)
+					var flat [][]Edge
+					for _, g := range groups {
+						flat = append(flat, g...)
+					}
+					if len(groups) < 1 || len(groups) > k || len(flat) != len(segs) {
+						t.Fatalf("groupRuns(%d segments, k=%d): %d groups over %d segments", len(segs), k, len(groups), len(flat))
+					}
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
 // BenchmarkFreeze measures Builder.Freeze on a multi-million-edge
 // multigraph, with the edges inserted in (u, v) order and shuffled.
 func BenchmarkFreeze(b *testing.B) {

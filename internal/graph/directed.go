@@ -158,14 +158,21 @@ func (b *DirectedBuilder) Freeze() (*Directed, error) {
 		return nil, fmt.Errorf("graph: Freeze called twice")
 	}
 	b.frozen = true
-	g := &Directed{n: b.n}
+	edges := b.edges
+	b.edges = nil
+	return newDirected(b.n, segments(edges))
+}
+
+// newDirected freezes the edges of segs, taken in order as one insertion
+// sequence, into a directed graph on n nodes.
+func newDirected(n int, segs [][]Edge) (*Directed, error) {
+	g := &Directed{n: n}
 	var err error
-	if g.outOffsets, g.outAdj, _, err = csrRows(b.n, b.edges, true, false, false); err != nil {
+	if g.outOffsets, g.outAdj, _, err = csrRows(n, segs, true, false, false); err != nil {
 		return nil, err
 	}
 	// Same edges, so the size check that passed above passes again.
-	g.inOffsets, g.inAdj, _, _ = csrRows(b.n, b.edges, false, true, false)
-	b.edges = nil
+	g.inOffsets, g.inAdj, _, _ = csrRows(n, segs, false, true, false)
 	g.m = int64(len(g.outAdj))
 	return g, nil
 }

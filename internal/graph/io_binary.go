@@ -4,30 +4,39 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"densestream/internal/edgeio"
+	"densestream/internal/par"
 )
 
 // Binary columnar graph files ("BSG1", see internal/edgeio) are the
 // second on-disk format of the loaders. Node ids in a binary file are
-// already integers, so the loaders relabel them to dense ids through an
-// integer remap in first-seen order — the order in which the text
-// loader interns the same edge sequence — and never build label
-// strings: the returned LabelMap keeps the file ids and renders a
-// decimal label only when asked. A text file and its binary conversion
-// therefore freeze into bit-identical graphs with identical labels, and
-// a BSG1 load costs one decode into a single edge buffer plus one
-// counting-sort CSR build.
+// already integers, so the loaders relabel them to dense ids in
+// first-seen order — the order in which the text loader interns the
+// same edge sequence — and never build label strings: the returned
+// LabelMap keeps the file ids and renders a decimal label only when
+// asked. A text file and its binary conversion therefore freeze into
+// bit-identical graphs with identical labels.
+//
+// A BSG1 load runs in three parallel steps over one edge buffer sized
+// by the trailer's edge count. The block ranges of the file decode
+// concurrently, each straight into its own region of the buffer at the
+// record number the block index gives its first edge; relabelRegions
+// turns the regions' file ids into dense ids; and csrRows builds the
+// CSR from the regions by a stable counting sort. Each step's result
+// is independent of the region count, so the graph and labels are the
+// same at every worker count.
 
 // readUndirectedBinary loads a binary columnar file into an undirected
 // graph. The weight column is consumed only when weighted is true,
 // matching ReadUndirectedFile's contract for text files.
-func readUndirectedBinary(path string, weighted bool) (*Undirected, *LabelMap, error) {
-	edges, lm, err := readBinaryEdges(path, weighted)
+func readUndirectedBinary(path string, weighted bool, workers int) (*Undirected, *LabelMap, error) {
+	regions, lm, err := readBinaryEdges(path, weighted, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := (&Builder{n: lm.Len(), edges: edges, weighted: weighted}).Freeze()
+	g, err := newUndirected(lm.Len(), regions, weighted)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -35,100 +44,201 @@ func readUndirectedBinary(path string, weighted bool) (*Undirected, *LabelMap, e
 }
 
 // readDirectedBinary is readUndirectedBinary for directed graphs.
-func readDirectedBinary(path string) (*Directed, *LabelMap, error) {
-	edges, lm, err := readBinaryEdges(path, false)
+func readDirectedBinary(path string, workers int) (*Directed, *LabelMap, error) {
+	regions, lm, err := readBinaryEdges(path, false, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	g, err := (&DirectedBuilder{n: lm.Len(), edges: edges}).Freeze()
+	g, err := newDirected(lm.Len(), regions)
 	if err != nil {
 		return nil, nil, err
 	}
 	return g, lm, nil
 }
 
-// readBinaryEdges decodes a binary file into one edge buffer over dense
-// ids, applying every check AddEdge would: ids must be non-negative and
-// below the header's node count, self loops are dropped, and weights
-// (read only when weighted) must be positive and finite.
-func readBinaryEdges(path string, weighted bool) ([]Edge, *LabelMap, error) {
+// readBinaryEdges decodes a binary file into one region of dense-id
+// edges per shard, applying every check AddEdge would: ids must be
+// non-negative and below the header's node count, self loops are
+// dropped, and weights (read only when weighted) must be positive and
+// finite. Of several failing edges, the one with the lowest index is
+// reported, as a sequential scan would.
+func readBinaryEdges(path string, weighted bool, workers int) ([][]Edge, *LabelMap, error) {
 	src, err := edgeio.OpenBinarySource(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("graph: %w", err)
 	}
 	defer src.Close()
-	r := src.WeightedShards(1)[0]
-	if c, ok := r.(io.Closer); ok {
-		defer c.Close()
+	k := par.Clamp(workers)
+	readers := src.WeightedShards(k)
+	shards := make([]blockShard, len(readers))
+	for i, r := range readers {
+		shards[i] = r.(blockShard)
 	}
-	if err := r.Reset(); err != nil {
-		return nil, nil, fmt.Errorf("graph: %w", err)
+	defer func() {
+		for _, sh := range shards {
+			sh.Close()
+		}
+	}()
+	starts := src.ShardStarts(k)
+	edges := make([]Edge, src.NumEdges())
+	regions := make([][]Edge, len(shards))
+	errs := make([]error, len(shards))
+	pool := par.Acquire(workers)
+	defer pool.Release()
+	pool.RunTasks(len(shards), func(i int) {
+		regions[i], errs[i] = decodeRegion(path, shards[i], weighted, src.Nodes(), starts[i], edges[starts[i]:starts[i+1]])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
 	}
-	nodes, total := src.Nodes(), src.NumEdges()
-	dense := newRemap(nodes, total)
-	edges := make([]Edge, 0, total)
-	for i := 0; ; i++ {
-		e, err := r.Next()
+	return regions, &LabelMap{ids: relabelRegions(pool, src.Nodes(), regions)}, nil
+}
+
+// blockShard is the block-at-a-time lane of the shards both BSG1
+// readers cut.
+type blockShard interface {
+	Reset() error
+	NextBlock() ([]edgeio.Edge, []float64, error)
+	Close() error
+}
+
+// decodeRegion reads one shard, whose first edge has record number
+// first, into out and returns the edges it kept, self loops dropped.
+// It stops at the shard's first bad edge.
+func decodeRegion(path string, sh blockShard, weighted bool, nodes int, first int64, out []Edge) ([]Edge, error) {
+	if err := sh.Reset(); err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
+	}
+	k := 0
+	for i := first; ; {
+		block, weights, err := sh.NextBlock()
 		if err == io.EOF {
-			break
+			return out[:k], nil
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("graph: %w", err)
+			return nil, fmt.Errorf("graph: %w", err)
 		}
-		if e.U < 0 || e.V < 0 {
-			return nil, nil, fmt.Errorf("graph: %s: edge %d (%d,%d): negative node id", path, i, e.U, e.V)
+		for j, e := range block {
+			if e.U < 0 || e.V < 0 {
+				return nil, fmt.Errorf("graph: %s: edge %d (%d,%d): negative node id", path, i+int64(j), e.U, e.V)
+			}
+			if int(e.U) >= nodes || int(e.V) >= nodes {
+				return nil, fmt.Errorf("graph: %s: edge %d (%d,%d): %w: header declares %d nodes", path, i+int64(j), e.U, e.V, ErrNodeRange, nodes)
+			}
+			if e.U == e.V {
+				continue // self loop: ignored by the density model
+			}
+			w := 1.0
+			if weighted && weights != nil {
+				if w = weights[j]; !(w > 0) || math.IsInf(w, 0) {
+					return nil, fmt.Errorf("graph: %s: edge %d (%d,%d): %w (got %v)", path, i+int64(j), e.U, e.V, ErrBadWeight, w)
+				}
+			}
+			out[k] = Edge{U: e.U, V: e.V, Weight: w}
+			k++
 		}
-		if int(e.U) >= nodes || int(e.V) >= nodes {
-			return nil, nil, fmt.Errorf("graph: %s: edge %d (%d,%d): %w: header declares %d nodes", path, i, e.U, e.V, ErrNodeRange, nodes)
+		i += int64(len(block))
+	}
+}
+
+// relabelRegions relabels the edges of regions in place from file ids
+// in [0, nodes) to dense ids in first-seen order over the regions taken
+// in order — the ids a sequential scan of the edges would assign — and
+// returns the file id of every dense id. Both the binary and the
+// canonical-text loaders relabel through it.
+//
+// Every region first marks the ids it holds in its own bitset. One
+// short merge then walks the bitsets word by word in region order,
+// keeps in each only the ids no earlier region holds, and counts them,
+// so region r owns the dense ids after those of regions 0..r-1. Each
+// region then numbers the ids it owns in the order it first sees them,
+// and a last parallel pass translates every edge.
+//
+// A header sparser than the edges — possibly a hostile one declaring
+// 2^31 nodes for one edge — would make the bitsets and the id table
+// outgrow the edges, so it takes a sequential map instead.
+func relabelRegions(pool *par.Pool, nodes int, regions [][]Edge) []int32 {
+	total := 0
+	for _, r := range regions {
+		total += len(r)
+	}
+	if int64(nodes) > 2*int64(total)+1 {
+		return relabelSparse(regions)
+	}
+	words := (nodes + 63) / 64
+	bitsets := make([]uint64, words*len(regions))
+	own := func(i int) []uint64 { return bitsets[i*words : (i+1)*words] }
+	pool.RunTasks(len(regions), func(i int) {
+		set := own(i)
+		for _, e := range regions[i] {
+			set[e.U>>6] |= 1 << (e.U & 63)
+			set[e.V>>6] |= 1 << (e.V & 63)
 		}
-		if e.U == e.V {
-			continue // self loop: ignored by the density model
+	})
+	base := make([]int, len(regions)+1)
+	for w := range words {
+		var earlier uint64
+		for i := range regions {
+			set := own(i)
+			mine := set[w] &^ earlier
+			earlier |= set[w]
+			set[w] = mine
+			base[i+1] += bits.OnesCount64(mine)
 		}
-		w := 1.0
-		if weighted {
-			if w = e.Weight; !(w > 0) || math.IsInf(w, 0) {
-				return nil, nil, fmt.Errorf("graph: %s: edge %d (%d,%d): %w (got %v)", path, i, e.U, e.V, ErrBadWeight, w)
+	}
+	for i := range regions {
+		base[i+1] += base[i]
+	}
+	dense := make([]int32, nodes)
+	ids := make([]int32, base[len(regions)])
+	pool.RunTasks(len(regions), func(i int) {
+		set, next, end := own(i), int32(base[i]), int32(base[i+1])
+		claim := func(x int32) {
+			if b := uint64(1) << (x & 63); set[x>>6]&b != 0 {
+				set[x>>6] &^= b
+				dense[x], ids[next] = next, x
+				next++
 			}
 		}
-		edges = append(edges, Edge{U: dense.id(e.U), V: dense.id(e.V), Weight: w})
-	}
-	return edges, &LabelMap{ids: dense.ids}, nil
-}
-
-// remap assigns dense ids to a binary file's node ids in first-seen
-// order. Files whose header node count is at most 2·edges+1 (every file
-// this repository writes) use a slice indexed by file id; a sparser
-// header — possibly a hostile one declaring 2^31 nodes for one edge —
-// gets a map, so the allocation stays bounded by the edge count.
-type remap struct {
-	seen   []uint32        // file id → dense id + 1 (0: unseen); dense headers
-	sparse map[int32]int32 // file id → dense id; sparse headers
-	ids    []int32         // dense id → file id
-}
-
-func newRemap(nodes int, edges int64) *remap {
-	if int64(nodes) <= 2*edges+1 {
-		return &remap{seen: make([]uint32, nodes), ids: make([]int32, 0, nodes)}
-	}
-	return &remap{sparse: make(map[int32]int32)}
-}
-
-// id returns the dense id of file id x, assigning the next one on first
-// sight.
-func (r *remap) id(x int32) int32 {
-	if r.seen != nil {
-		if d := r.seen[x]; d != 0 {
-			return int32(d - 1)
+		for _, e := range regions[i] {
+			if next == end {
+				return // every id this region owns is numbered
+			}
+			claim(e.U)
+			claim(e.V)
 		}
-		r.seen[x] = uint32(len(r.ids)) + 1
-	} else {
-		if d, ok := r.sparse[x]; ok {
+	})
+	pool.RunTasks(len(regions), func(i int) {
+		r := regions[i]
+		for j := range r {
+			r[j].U, r[j].V = dense[r[j].U], dense[r[j].V]
+		}
+	})
+	return ids
+}
+
+// relabelSparse is relabelRegions through a map, for headers sparser
+// than the edges.
+func relabelSparse(regions [][]Edge) []int32 {
+	dense := make(map[int32]int32)
+	var ids []int32
+	id := func(x int32) int32 {
+		if d, ok := dense[x]; ok {
 			return d
 		}
-		r.sparse[x] = int32(len(r.ids))
+		dense[x] = int32(len(ids))
+		ids = append(ids, x)
+		return int32(len(ids) - 1)
 	}
-	r.ids = append(r.ids, x)
-	return int32(len(r.ids) - 1)
+	for _, r := range regions {
+		for j := range r {
+			r[j].U = id(r[j].U)
+			r[j].V = id(r[j].V)
+		}
+	}
+	return ids
 }
 
 // WriteUndirectedBinary emits the graph as a binary columnar file at

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,13 +19,21 @@ import (
 
 // writeBSG1 writes edges verbatim (self loops and repeats included) as
 // a binary columnar file and returns its path.
-func writeBSG1(t *testing.T, edges []Edge, weighted bool) string {
+func writeBSG1(t testing.TB, edges []Edge, weighted bool) string {
+	t.Helper()
+	return writeBSG1Blocks(t, edges, weighted, edgeio.DefaultBlockEdges)
+}
+
+// writeBSG1Blocks is writeBSG1 with blockEdges edges per block, so a
+// small file still cuts into many shards.
+func writeBSG1Blocks(t testing.TB, edges []Edge, weighted bool, blockEdges int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.bsg")
 	w, err := edgeio.CreateBinary(path, weighted)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.SetBlockEdges(blockEdges)
 	for _, e := range edges {
 		w.AppendWeighted(edgeio.WeightedEdge{U: e.U, V: e.V, Weight: e.Weight})
 	}
@@ -146,6 +155,140 @@ func checkLabelMapsAgree(t *testing.T, bin, txt *LabelMap) {
 	}
 }
 
+// parityEdges returns m edges over labels scattered across [0, 7n) in
+// shuffled order, with self loops, repeated edges and varied weights;
+// edges [quiet, quiet+span) are all self loops, so a shard covering
+// only them keeps no edges.
+func parityEdges(n, m, quiet, span int, seed int64) []Edge {
+	edges := scatteredEdges(n, m, seed)
+	for i := range edges {
+		edges[i].Weight = float64(i%13+1) / 4
+		if i%50 == 7 && i > 0 {
+			edges[i].U, edges[i].V = edges[i-1].V, edges[i-1].U // a repeat
+		}
+		if i >= quiet && i < quiet+span {
+			edges[i].V = edges[i].U
+		}
+	}
+	return edges
+}
+
+// TestLoadersMatchAcrossWorkers checks the BSG1 and canonical-text
+// loaders return graphs and LabelMaps equal to the workers=1 load at
+// workers 2, 3 and 8: undirected, weighted and directed, on files whose
+// labels need a real relabel and with shards that keep no edges.
+func TestLoadersMatchAcrossWorkers(t *testing.T) {
+	// At 64 edges per block and 8 workers, the shard of blocks [14, 19)
+	// holds only self loops.
+	edges := parityEdges(150, 2400, 14*64, 5*64, 29)
+	// A run of comment lines gives the text file byte-range shards
+	// without an edge line.
+	comments := strings.Repeat("# no edges in this stretch of the file\n", 400)
+	files := map[string]func(weighted bool) string{
+		"bsg1": func(weighted bool) string { return writeBSG1Blocks(t, edges, weighted, 64) },
+		"text": func(weighted bool) string {
+			txt, err := os.ReadFile(writeText(t, edges, weighted))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return writeTemp(t, comments+string(txt)+comments)
+		},
+	}
+	for name, write := range files {
+		for _, weighted := range []bool{false, true} {
+			path := write(weighted)
+			want, wlm, err := ReadUndirectedFile(path, weighted, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wlm.Len() == 0 || wlm.Label(0) == "0" && wlm.Label(1) == "1" {
+				t.Fatalf("%s: labels %q, %q need no relabel", name, wlm.Label(0), wlm.Label(1))
+			}
+			if name == "bsg1" {
+				regions, _, err := readBinaryEdges(path, weighted, 8)
+				if err != nil || !slices.ContainsFunc(regions, func(r []Edge) bool { return len(r) == 0 }) {
+					t.Fatalf("no empty region among the 8 shards (err %v)", err)
+				}
+			}
+			dwant, dwlm, err := ReadDirectedFile(path, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3, 8} {
+				got, glm, err := ReadUndirectedFile(path, weighted, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(glm, wlm) {
+					t.Fatalf("%s weighted=%v workers=%d: undirected load differs from workers=1", name, weighted, workers)
+				}
+				dgot, dglm, err := ReadDirectedFile(path, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(dgot, dwant) || !reflect.DeepEqual(dglm, dwlm) {
+					t.Fatalf("%s workers=%d: directed load differs from workers=1", name, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestLoaderErrorsMatchAcrossWorkers checks a bad edge reports the same
+// error at every worker count: a bad id or weight in the last shard,
+// and, when two shards fail, the edge with the lower index.
+func TestLoaderErrorsMatchAcrossWorkers(t *testing.T) {
+	const m = 2400
+	for _, tc := range []struct {
+		name  string
+		bad   map[int]Edge // edge index → replacement
+		index int          // the edge the error must name
+		nodes uint64       // header node count to set, if not 0
+		text  bool         // also check the text file (no bad ids there)
+	}{
+		{"weight-last-shard", map[int]Edge{m - 5: {U: 3, V: 10, Weight: -1}}, m - 5, 0, true},
+		{"negative-id-last-shard", map[int]Edge{m - 3: {U: -4, V: 10, Weight: 1}}, m - 3, 0, false},
+		{"id-past-header-last-shard", map[int]Edge{m - 2: {U: 5000, V: 10, Weight: 1}}, m - 2, 7 * 150, false},
+		{"two-shards", map[int]Edge{700: {U: 3, V: 10, Weight: math.NaN()}, 2000: {U: -1, V: 2, Weight: 1}}, 700, 0, true},
+		{"two-shards-id-first", map[int]Edge{600: {U: -9, V: 2, Weight: 1}, 1900: {U: 3, V: 10, Weight: 0}}, 600, 0, false},
+	} {
+		edges := parityEdges(150, m, 0, 0, 31)
+		for i, e := range tc.bad {
+			edges[i] = e
+		}
+		bin := writeBSG1Blocks(t, edges, true, 64)
+		if tc.nodes > 0 {
+			setHeaderNodes(t, bin, tc.nodes)
+		}
+		var txt string
+		if tc.text {
+			txt = writeText(t, edges, true)
+		}
+		_, _, want := ReadUndirectedFile(bin, true, 1)
+		if want == nil || !strings.Contains(want.Error(), fmt.Sprintf("edge %d ", tc.index)) {
+			t.Fatalf("%s: workers=1 error %v, want one naming edge %d", tc.name, want, tc.index)
+		}
+		var twant error
+		if txt != "" {
+			_, _, twant = ReadUndirectedFile(txt, true, 1)
+			if twant == nil || !strings.Contains(twant.Error(), fmt.Sprintf("line %d", tc.index+1)) {
+				t.Fatalf("%s: text workers=1 error %v, want one naming line %d", tc.name, twant, tc.index+1)
+			}
+		}
+		for _, workers := range []int{2, 3, 8} {
+			if _, _, err := ReadUndirectedFile(bin, true, workers); err == nil || err.Error() != want.Error() {
+				t.Fatalf("%s workers=%d: error %v, workers=1 %v", tc.name, workers, err, want)
+			}
+			if txt == "" {
+				continue
+			}
+			if _, _, err := ReadUndirectedFile(txt, true, workers); err == nil || err.Error() != twant.Error() {
+				t.Fatalf("%s text workers=%d: error %v, workers=1 %v", tc.name, workers, err, twant)
+			}
+		}
+	}
+}
+
 // TestBinaryRejectsOutOfRangeIDs checks a header that undercounts the
 // nodes is an ErrNodeRange error on both resident loaders.
 func TestBinaryRejectsOutOfRangeIDs(t *testing.T) {
@@ -212,13 +355,14 @@ func TestBinaryHugeHeaderSmallAlloc(t *testing.T) {
 
 // TestBinaryLoadAllocsPerFile checks a BSG1 load allocates per file,
 // not per edge or per block: the same count at 10k edges (2 blocks) and
-// 200k edges (25 blocks). Under the race detector sync.Pool drops items
-// at random, so there a few pool misses may separate the two counts.
+// 200k edges (25 blocks), at one worker and on the two-shard parallel
+// path. Under the race detector sync.Pool drops items at random, so
+// there a few pool misses may separate the two counts.
 func TestBinaryLoadAllocsPerFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200k-edge file")
 	}
-	allocs := func(m int) float64 {
+	allocs := func(m, workers int) float64 {
 		g := freezeUndirected(t, m/5, randomEdges(m/5, m, 3), false)
 		path := filepath.Join(t.TempDir(), "g.bsg")
 		if err := WriteUndirectedBinary(path, g); err != nil {
@@ -228,27 +372,53 @@ func TestBinaryLoadAllocsPerFile(t *testing.T) {
 		// per-collection cost rather than a per-edge one.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(5, func() {
-			if _, _, err := ReadUndirectedFile(path, false, 1); err != nil {
+			if _, _, err := ReadUndirectedFile(path, false, workers); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, large := allocs(10000), allocs(200000)
-	if large != small && !(raceEnabled && large <= small+4) {
-		t.Fatalf("allocations grow with the edge count: %v at 10k edges, %v at 200k", small, large)
+	for _, workers := range []int{1, 2} {
+		small, large := allocs(10000, workers), allocs(200000, workers)
+		if large != small && !(raceEnabled && large <= small+4) {
+			t.Fatalf("workers=%d: allocations grow with the edge count: %v at 10k edges, %v at 200k", workers, small, large)
+		}
+	}
+}
+
+// BenchmarkReadBinaryFile loads a 2M-edge BSG1 file over 200k nodes,
+// with labels scattered across [0, 1.4M) so the first-seen relabel has
+// work to do, at one and two workers.
+func BenchmarkReadBinaryFile(b *testing.B) {
+	path := writeBSG1(b, scatteredEdges(200000, 1<<21, 1), false)
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(st.Size())
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := ReadUndirectedFile(path, false, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // FuzzReadUndirectedBinary feeds arbitrary bytes to the BSG1 resident
 // loaders. Each must return an error or a graph that passes Validate
-// with one label per node, and must never panic.
+// with one label per node, must return the same at workers 1 and 3, and
+// must never panic.
 func FuzzReadUndirectedBinary(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "f.bsg") // inputs run one at a time per process
 	f.Fuzz(func(t *testing.T, data []byte, weighted bool) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if g, lm, err := readUndirectedBinary(path, weighted); err == nil {
+		g, lm, err := readUndirectedBinary(path, weighted, 1)
+		if err == nil {
 			if err := g.Validate(); err != nil {
 				t.Fatalf("undirected: %v", err)
 			}
@@ -256,13 +426,22 @@ func FuzzReadUndirectedBinary(f *testing.F) {
 				t.Fatalf("undirected: %d labels for %d nodes", lm.Len(), g.NumNodes())
 			}
 		}
-		if g, lm, err := readDirectedBinary(path); err == nil {
-			if err := g.Validate(); err != nil {
+		g3, lm3, err3 := readUndirectedBinary(path, weighted, 3)
+		if msg := loadMismatch(g3, g, lm3, lm, err3, err); msg != "" {
+			t.Fatalf("undirected, workers=3: %s", msg)
+		}
+		dg, dlm, derr := readDirectedBinary(path, 1)
+		if derr == nil {
+			if err := dg.Validate(); err != nil {
 				t.Fatalf("directed: %v", err)
 			}
-			if lm.Len() != g.NumNodes() {
-				t.Fatalf("directed: %d labels for %d nodes", lm.Len(), g.NumNodes())
+			if dlm.Len() != dg.NumNodes() {
+				t.Fatalf("directed: %d labels for %d nodes", dlm.Len(), dg.NumNodes())
 			}
+		}
+		dg3, dlm3, derr3 := readDirectedBinary(path, 3)
+		if msg := loadMismatch(dg3, dg, dlm3, dlm, derr3, derr); msg != "" {
+			t.Fatalf("directed, workers=3: %s", msg)
 		}
 	})
 }

@@ -18,15 +18,16 @@ import (
 // shards of the file through the edgeio layer, and the shards' edges
 // are relabelled to dense ids in shard (= file) order. Because the
 // shards together yield exactly the file's lines in order, the dense
-// ids, the builder's edge order, and therefore the frozen graph are
+// ids, the edge order csrRows sees, and therefore the frozen graph are
 // bit-identical to the sequential ReadUndirected/ReadDirected on the
 // same bytes.
 //
 // A file whose every line edgeio.ParseCanonicalLine accepts — SNAP-style
 // canonical integer labels, the common case — never builds a label
 // string: the shards parse the labels into int32 straight from the
-// read buffer and the fold relabels them through the integer remap of
-// the BSG1 loader. A canonical label is exactly strconv.Itoa of its
+// read buffer, each into its own region of one edge buffer, and
+// relabelRegions, shared with the BSG1 loader, relabels the regions in
+// place in parallel. A canonical label is exactly strconv.Itoa of its
 // value, so this is the string interning under another key. The first
 // line the fast path cannot read abandons it for the whole file, and
 // the string path below reparses every line as the sequential reader
@@ -43,12 +44,11 @@ type rawEdge struct {
 
 // scanCanonical is the fast path of the text loaders. It sizes one edge
 // buffer by the shards' line bounds, has every shard parse its lines
-// into its own region of it, and folds the regions in file order
-// through a remap keyed on the largest label + 1, compacting the
-// buffer in place. ok is false when any line is not canonical (or any
-// read fails); the caller then takes the string path for the whole
-// file.
-func scanCanonical(path string, weighted bool, workers int) (lm *LabelMap, edges []Edge, ok bool) {
+// into its own region of it, and relabels the regions in place through
+// relabelRegions over ids up to the largest label. ok is false when any
+// line is not canonical (or any read fails); the caller then takes the
+// string path for the whole file.
+func scanCanonical(path string, weighted bool, workers int) (lm *LabelMap, regions [][]Edge, ok bool) {
 	src, err := edgeio.OpenFileSource(path)
 	if err != nil {
 		return nil, nil, false
@@ -62,10 +62,11 @@ func scanCanonical(path string, weighted bool, workers int) (lm *LabelMap, edges
 	// off[i] is where shard i's region starts; off[len(shards)] is the
 	// bound on the file's lines.
 	off := make([]int, len(shards)+1)
-	count := make([]int, len(shards))
 	maxID := make([]int32, len(shards))
+	regions = make([][]Edge, len(shards))
 	var failed atomic.Bool
-	pool := par.New(workers)
+	pool := par.Acquire(workers)
+	defer pool.Release()
 	pool.RunTasks(len(shards), func(i int) {
 		n, err := shards[i].LineBound()
 		if err != nil {
@@ -79,31 +80,24 @@ func scanCanonical(path string, weighted bool, workers int) (lm *LabelMap, edges
 	for i := range shards {
 		off[i+1] += off[i]
 	}
-	edges = make([]Edge, off[len(shards)])
+	edges := make([]Edge, off[len(shards)])
 	pool.RunTasks(len(shards), func(i int) {
+		var n int
 		var ok bool
-		count[i], maxID[i], ok = scanCanonicalShard(shards[i], weighted, edges[off[i]:off[i+1]], &failed)
+		n, maxID[i], ok = scanCanonicalShard(shards[i], weighted, edges[off[i]:off[i+1]], &failed)
 		if !ok {
 			failed.Store(true)
 		}
+		regions[i] = edges[off[i] : off[i]+n]
 	})
 	if failed.Load() {
 		return nil, nil, false
 	}
-	total, top := 0, int32(-1)
-	for i := range shards {
-		total += count[i]
-		top = max(top, maxID[i])
+	top := int32(-1)
+	for _, id := range maxID {
+		top = max(top, id)
 	}
-	dense := newRemap(int(top)+1, int64(total))
-	k := 0
-	for i := range shards {
-		for _, e := range edges[off[i] : off[i]+count[i]] {
-			edges[k] = Edge{U: dense.id(e.U), V: dense.id(e.V), Weight: e.Weight}
-			k++
-		}
-	}
-	return &LabelMap{ids: dense.ids}, edges[:k], true
+	return &LabelMap{ids: relabelRegions(pool, int(top)+1, regions)}, regions, true
 }
 
 // scanCanonicalShard parses one shard's lines into out, returning the
@@ -214,17 +208,17 @@ func scanFileSharded(path string, weighted bool, workers int) ([][]rawEdge, erro
 // ReadUndirected on the same bytes for every worker count.
 func ReadUndirectedFile(path string, weighted bool, workers int) (*Undirected, *LabelMap, error) {
 	if isBin, err := edgeio.DetectBinary(path); err == nil && isBin {
-		return readUndirectedBinary(path, weighted)
+		return readUndirectedBinary(path, weighted, workers)
 	}
-	lm, edges, ok := scanCanonical(path, weighted, workers)
+	lm, regions, ok := scanCanonical(path, weighted, workers)
 	if !ok {
 		sharded, err := scanFileSharded(path, weighted, workers)
 		if err != nil {
 			return readUndirectedSeq(path, weighted)
 		}
-		lm, edges = internShards(sharded)
+		lm, regions = internShards(sharded)
 	}
-	g, err := (&Builder{n: lm.Len(), edges: edges, weighted: weighted}).Freeze()
+	g, err := newUndirected(lm.Len(), regions, weighted)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -234,17 +228,17 @@ func ReadUndirectedFile(path string, weighted bool, workers int) (*Undirected, *
 // ReadDirectedFile is ReadUndirectedFile for directed edge lists.
 func ReadDirectedFile(path string, workers int) (*Directed, *LabelMap, error) {
 	if isBin, err := edgeio.DetectBinary(path); err == nil && isBin {
-		return readDirectedBinary(path)
+		return readDirectedBinary(path, workers)
 	}
-	lm, edges, ok := scanCanonical(path, false, workers)
+	lm, regions, ok := scanCanonical(path, false, workers)
 	if !ok {
 		sharded, err := scanFileSharded(path, false, workers)
 		if err != nil {
 			return readDirectedSeq(path)
 		}
-		lm, edges = internShards(sharded)
+		lm, regions = internShards(sharded)
 	}
-	g, err := (&DirectedBuilder{n: lm.Len(), edges: edges}).Freeze()
+	g, err := newDirected(lm.Len(), regions)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -252,10 +246,10 @@ func ReadDirectedFile(path string, workers int) (*Directed, *LabelMap, error) {
 }
 
 // internShards interns the shards' labels in file order straight into
-// one edge buffer for the builder. The scan has already checked every
-// edge: distinct labels never intern to the same id, and weights are
-// positive and finite.
-func internShards(sharded [][]rawEdge) (*LabelMap, []Edge) {
+// one edge buffer, cut into segments for csrRows. The scan has already
+// checked every edge: distinct labels never intern to the same id, and
+// weights are positive and finite.
+func internShards(sharded [][]rawEdge) (*LabelMap, [][]Edge) {
 	total := 0
 	for _, shard := range sharded {
 		total += len(shard)
@@ -267,7 +261,7 @@ func internShards(sharded [][]rawEdge) (*LabelMap, []Edge) {
 			edges = append(edges, Edge{U: lm.ID(r.u), V: lm.ID(r.v), Weight: r.w})
 		}
 	}
-	return lm, edges
+	return lm, segments(edges)
 }
 
 func readUndirectedSeq(path string, weighted bool) (*Undirected, *LabelMap, error) {

@@ -306,26 +306,29 @@ func TestReadFileFallbackFromLastShard(t *testing.T) {
 
 // TestTextLoadAllocsPerFile checks a numeric text load allocates per
 // file, not per edge or per line: the same count at 10k edges and at
-// 200k. Under the race detector sync.Pool drops items at random, so
-// there a few pool misses may separate the two counts.
+// 200k, at one worker and on the two-shard parallel path. Under the
+// race detector sync.Pool drops items at random, so there a few pool
+// misses may separate the two counts.
 func TestTextLoadAllocsPerFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 200k-edge file")
 	}
-	allocs := func(m int) float64 {
+	allocs := func(m, workers int) float64 {
 		path := writeTemp(t, numericLines(m/5, m, false, 3))
 		// A GC between runs empties the edgeio buffer pools, which is a
 		// per-collection cost rather than a per-edge one.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(5, func() {
-			if _, _, err := ReadUndirectedFile(path, false, 1); err != nil {
+			if _, _, err := ReadUndirectedFile(path, false, workers); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, large := allocs(10000), allocs(200000)
-	if large != small && !(raceEnabled && large <= small+4) {
-		t.Fatalf("allocations grow with the edge count: %v at 10k edges, %v at 200k", small, large)
+	for _, workers := range []int{1, 2} {
+		small, large := allocs(10000, workers), allocs(200000, workers)
+		if large != small && !(raceEnabled && large <= small+4) {
+			t.Fatalf("workers=%d: allocations grow with the edge count: %v at 10k edges, %v at 200k", workers, small, large)
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -25,6 +25,14 @@ import (
 	"time"
 
 	ds "densestream"
+)
+
+// Request bodies are read through http.MaxBytesReader; past its limit
+// a request is answered 413. Graphs larger than maxGraphBody register
+// by path instead.
+const (
+	maxGraphBody = 64 << 20 // PUT /graphs/{name}, POST /graphs/{name}/edges
+	maxSolveBody = 1 << 20  // POST /solve, POST /jobs
 )
 
 // Config shapes the daemon; zero fields take defaults.
@@ -241,9 +249,10 @@ type graphSpec struct {
 
 func (s *Server) handlePutGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
+	r.Body = http.MaxBytesReader(w, r.Body, maxGraphBody)
 	spec, edges, err := s.decodeGraphBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err, nil)
+		writeError(w, bodyStatus(err), err, nil)
 		return
 	}
 	var info GraphInfo
@@ -394,12 +403,13 @@ func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var edges []Edge
+	r.Body = http.MaxBytesReader(w, r.Body, maxGraphBody)
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
 		var spec graphSpec
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding edges: %w", err), nil)
+			writeError(w, bodyStatus(err), fmt.Errorf("serve: decoding edges: %w", err), nil)
 			return
 		}
 		for i, row := range spec.Edges {
@@ -416,7 +426,7 @@ func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 	} else {
 		edges, err = ParseEdgeList(r.Body, info.Weighted || (info.Dynamic && info.Window > 0))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err, nil)
+			writeError(w, bodyStatus(err), err, nil)
 			return
 		}
 	}
@@ -560,9 +570,19 @@ func (s *Server) enqueue(j *job) *httpError {
 	}
 }
 
-func decodeSolveRequest(r *http.Request) (SolveRequest, error) {
+// bodyStatus is the status for a request whose body failed to decode:
+// 413 past the body limit, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+func decodeSolveRequest(w http.ResponseWriter, r *http.Request) (SolveRequest, error) {
 	var req SolveRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSolveBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("serve: decoding solve request: %w", err)
@@ -573,9 +593,9 @@ func decodeSolveRequest(r *http.Request) (SolveRequest, error) {
 // handleSolve is the synchronous path: queue, wait, respond with the
 // full Solution envelope (bit-identical to the in-process Solve).
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeSolveRequest(r)
+	req, err := decodeSolveRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err, nil)
+		writeError(w, bodyStatus(err), err, nil)
 		return
 	}
 	j, cached, herr := s.prepare(req)
@@ -617,9 +637,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // handleSubmitJob is the async path: queue and return the job id.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeSolveRequest(r)
+	req, err := decodeSolveRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err, nil)
+		writeError(w, bodyStatus(err), err, nil)
 		return
 	}
 	j, cached, herr := s.prepare(req)

@@ -636,3 +636,63 @@ func TestMetricsMapReduceFaults(t *testing.T) {
 		t.Fatalf("clean server mapReduce block wrong: %s", mdataC)
 	}
 }
+
+// blankLines is an endless body of whitespace lines, which every body
+// decoder skips without keeping.
+type blankLines struct{}
+
+func (blankLines) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+		if i%4096 == 4095 {
+			p[i] = '\n'
+		}
+	}
+	return len(p), nil
+}
+
+// TestBodyLimits checks every endpoint that reads a body answers 413
+// once the body passes its limit, for text and JSON graph bodies and
+// for solve requests whose JSON starts past the limit.
+func TestBodyLimits(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	mustRegister(t, s, "g", false, testEdges(50, 200, 5, 1))
+	solve := `{"graph":"g","objective":"Undirected","backend":"Peel","eps":0.1}`
+	for _, tc := range []struct {
+		method, path, contentType string
+		body                      io.Reader
+	}{
+		{"PUT", "/graphs/big", "text/plain", io.LimitReader(blankLines{}, maxGraphBody+1)},
+		{"PUT", "/graphs/big", "application/json", io.LimitReader(blankLines{}, maxGraphBody+1)},
+		{"POST", "/graphs/g/edges", "text/plain", io.LimitReader(blankLines{}, maxGraphBody+1)},
+		{"POST", "/graphs/g/edges", "application/json", io.LimitReader(blankLines{}, maxGraphBody+1)},
+		{"POST", "/solve", "application/json", io.MultiReader(io.LimitReader(blankLines{}, maxSolveBody), strings.NewReader(solve))},
+		{"POST", "/jobs", "application/json", io.MultiReader(io.LimitReader(blankLines{}, maxSolveBody), strings.NewReader(solve))},
+	} {
+		req := httptest.NewRequest(tc.method, tc.path, tc.body)
+		req.Header.Set("Content-Type", tc.contentType)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s (%s): status %d, want 413 (%s)", tc.method, tc.path, tc.contentType, rec.Code, rec.Body.Bytes())
+		}
+	}
+	// Within the limits the same requests succeed.
+	for _, path := range []string{"/solve", "/jobs"} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(strings.Repeat(" ", maxSolveBody-len(solve))+solve))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
+			t.Errorf("POST %s at the limit: status %d (%s)", path, rec.Code, rec.Body.Bytes())
+		}
+	}
+	req := httptest.NewRequest("POST", "/graphs/g/edges", strings.NewReader("0 7\n1 9\n"))
+	req.Header.Set("Content-Type", "text/plain")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Errorf("small append: status %d (%s)", rec.Code, rec.Body.Bytes())
+	}
+}
