@@ -214,9 +214,33 @@ func smokeCases() []smokeCase {
 	}
 }
 
+// smokeGraph is one registered smoke graph with its whole edge log.
+type smokeGraph struct {
+	directed, weighted bool
+	edges              []serve.Edge
+}
+
+// smokeAppend is the append round of one smoke graph on n nodes: two
+// edges already present (one of them reversed), a repeat inside the
+// batch, fresh pairs, and edges to the new node ids n and n+1. Weighted
+// graphs get weights that differ from the first registration's.
+func smokeAppend(g smokeGraph, n int, seed uint64) []serve.Edge {
+	batch := []serve.Edge{g.edges[0], {U: g.edges[1].V, V: g.edges[1].U, W: 1}}
+	batch = append(batch, smokeEdges(n, 24, 0, seed, g.directed, false)...)
+	batch = append(batch, batch[3], serve.Edge{U: 3, V: int32(n), W: 1}, serve.Edge{U: int32(n + 1), V: int32(n), W: 1})
+	if g.weighted {
+		for i := range batch {
+			batch[i].W = 0.5 + 0.75*float64(i%4)
+		}
+	}
+	return batch
+}
+
 // runSmoke boots a loopback daemon, solves one Problem per objective ×
 // backend over HTTP, and checks each response against the in-process
-// Solve on the same graph — the service-parity acceptance check.
+// Solve on the same graph — the service-parity acceptance check. It
+// then appends a batch to every graph over HTTP and checks every case
+// again against the in-process Solve on the concatenated edges.
 func runSmoke(out io.Writer, cfg serve.Config) error {
 	s, base, stop, err := bootLoopback(cfg)
 	if err != nil {
@@ -224,10 +248,6 @@ func runSmoke(out io.Writer, cfg serve.Config) error {
 	}
 	defer stop()
 
-	type smokeGraph struct {
-		directed, weighted bool
-		edges              []serve.Edge
-	}
 	graphs := map[string]smokeGraph{
 		"u": {false, false, smokeEdges(400, 2400, 20, 3, false, false)},
 		"w": {false, true, smokeEdges(300, 1500, 12, 4, false, true)},
@@ -238,10 +258,50 @@ func runSmoke(out io.Writer, cfg serve.Config) error {
 			return fmt.Errorf("registering smoke graph %q: %w", name, err)
 		}
 	}
+	if err := smokeRound(out, base, graphs, ""); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "smoke: all %d objective/backend cases are HTTP/in-process identical\n", len(smokeCases()))
 
+	for name, n := range map[string]int{"u": 400, "w": 300, "d": 300} {
+		g := graphs[name]
+		batch := smokeAppend(g, n, uint64(n)+7)
+		rows := make([][]float64, len(batch))
+		for i, e := range batch {
+			rows[i] = []float64{float64(e.U), float64(e.V), e.W}
+		}
+		body, err := json.Marshal(map[string]any{"edges": rows})
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(base+"/graphs/"+name+"/edges", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return fmt.Errorf("appending to %q: %w", name, err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return fmt.Errorf("appending to %q: %w", name, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("appending to %q: status %d: %s", name, resp.StatusCode, data)
+		}
+		g.edges = append(g.edges, batch...)
+		graphs[name] = g
+	}
+	if err := smokeRound(out, base, graphs, "append/"); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "smoke: all %d cases stay identical after an append round on u, w and d\n", len(smokeCases()))
+	return smokeDynamic(out, s, base)
+}
+
+// smokeRound solves every smoke case over HTTP and compares it with the
+// in-process Solve on the graph's whole edge log.
+func smokeRound(out io.Writer, base string, graphs map[string]smokeGraph, prefix string) error {
 	failures := 0
 	for _, c := range smokeCases() {
-		label := fmt.Sprintf("%s/%s", c.problem.Objective, c.problem.Backend)
+		label := fmt.Sprintf("%s%s/%s", prefix, c.problem.Objective, c.problem.Backend)
 		g := graphs[c.graph]
 
 		// In-process reference on the same edges.
@@ -269,7 +329,7 @@ func runSmoke(out io.Writer, cfg serve.Config) error {
 			return fmt.Errorf("%s: reading response: %w", label, err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			fmt.Fprintf(out, "FAIL %-28s status %d: %s\n", label, resp.StatusCode, got)
+			fmt.Fprintf(out, "FAIL %-35s status %d: %s\n", label, resp.StatusCode, got)
 			failures++
 			continue
 		}
@@ -279,17 +339,16 @@ func runSmoke(out io.Writer, cfg serve.Config) error {
 			return fmt.Errorf("%s: comparing: %w", label, err)
 		}
 		if !same {
-			fmt.Fprintf(out, "FAIL %-28s HTTP solution differs from in-process Solve\n", label)
+			fmt.Fprintf(out, "FAIL %-35s HTTP solution differs from in-process Solve\n", label)
 			failures++
 			continue
 		}
-		fmt.Fprintf(out, "ok   %-28s density matches in-process (%.6f)\n", label, want.Density)
+		fmt.Fprintf(out, "ok   %-35s density matches in-process (%.6f)\n", label, want.Density)
 	}
 	if failures > 0 {
-		return fmt.Errorf("smoke: %d/%d cases failed", failures, len(smokeCases()))
+		return fmt.Errorf("smoke: %s%d/%d cases failed", prefix, failures, len(smokeCases()))
 	}
-	fmt.Fprintf(out, "smoke: all %d objective/backend cases are HTTP/in-process identical\n", len(smokeCases()))
-	return smokeDynamic(out, s, base)
+	return nil
 }
 
 // smokeDynamic exercises the dynamic ingest path end to end: a

@@ -9,7 +9,8 @@ import (
 )
 
 // TestSmokeParity runs the -smoke mode in-process: one HTTP solve per
-// objective × backend, each compared against the in-process Solve.
+// objective × backend, each compared against the in-process Solve, once
+// on the registered graphs and once more after an append round.
 func TestSmokeParity(t *testing.T) {
 	var out bytes.Buffer
 	if err := runSmoke(&out, serve.Config{Workers: 2}); err != nil {
@@ -17,6 +18,9 @@ func TestSmokeParity(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "all 15 objective/backend cases") {
 		t.Fatalf("unexpected smoke output:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "all 15 cases stay identical after an append round") {
+		t.Fatalf("smoke output missing the append round:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "dynamic ingest path is HTTP/in-process identical") {
 		t.Fatalf("smoke output missing dynamic parity:\n%s", out.String())

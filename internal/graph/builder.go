@@ -42,8 +42,19 @@ func (b *Builder) addEdge(u, v int32, w float64, weighted bool) error {
 	if b.frozen {
 		return fmt.Errorf("graph: AddEdge after Freeze")
 	}
-	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
-		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrNodeRange, u, v, b.n)
+	if err := checkEdge(b.n, u, v, w); err != nil {
+		return err
+	}
+	b.edges = append(b.edges, Edge{U: u, V: v, Weight: w})
+	b.weighted = b.weighted || weighted
+	return nil
+}
+
+// checkEdge validates one edge as the builders accept it: ids in
+// [0, n), no self loop, a positive finite weight.
+func checkEdge(n int, u, v int32, w float64) error {
+	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrNodeRange, u, v, n)
 	}
 	if u == v {
 		return fmt.Errorf("%w: node %d", ErrSelfLoop, u)
@@ -51,8 +62,6 @@ func (b *Builder) addEdge(u, v int32, w float64, weighted bool) error {
 	if w <= 0 || math.IsInf(w, 0) || math.IsNaN(w) {
 		return fmt.Errorf("%w: %v", ErrBadWeight, w)
 	}
-	b.edges = append(b.edges, Edge{U: u, V: v, Weight: w})
-	b.weighted = b.weighted || weighted
 	return nil
 }
 
@@ -77,15 +86,22 @@ func newUndirected(n int, segs [][]Edge, weighted bool) (*Undirected, error) {
 		return nil, err
 	}
 	g.m = int64(len(g.adj) / 2)
-	g.totalW = float64(g.m)
-	if g.weights != nil {
-		g.totalW = 0
-		g.Edges(func(_, _ int32, w float64) bool {
-			g.totalW += w
-			return true
-		})
-	}
+	g.totalW = g.weightSum()
 	return g, nil
+}
+
+// weightSum is the total edge weight, summed over the edges u < v in
+// CSR order; float64(m) for unweighted graphs.
+func (g *Undirected) weightSum() float64 {
+	if g.weights == nil {
+		return float64(g.m)
+	}
+	var s float64
+	g.Edges(func(_, _ int32, w float64) bool {
+		s += w
+		return true
+	})
+	return s
 }
 
 // minSegment is the fewest edges segments gives a segment of its own,

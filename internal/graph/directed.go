@@ -141,11 +141,8 @@ func (b *DirectedBuilder) AddEdge(u, v int32) error {
 	if b.frozen {
 		return fmt.Errorf("graph: AddEdge after Freeze")
 	}
-	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
-		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrNodeRange, u, v, b.n)
-	}
-	if u == v {
-		return fmt.Errorf("%w: node %d", ErrSelfLoop, u)
+	if err := checkEdge(b.n, u, v, 1); err != nil {
+		return err
 	}
 	b.edges = append(b.edges, Edge{U: u, V: v})
 	return nil

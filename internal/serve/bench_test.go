@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand/v2"
 	"net/http/httptest"
 	"testing"
 
@@ -79,4 +80,45 @@ func BenchmarkServeSolveUncached(b *testing.B) {
 	}
 	b.ReportMetric(last.QPS, "qps")
 	b.ReportMetric(float64(last.P99.Nanoseconds()), "p99-ns")
+}
+
+// BenchmarkServeAppend measures the registry's streaming-ingest path on
+// a ChungLu graph of 100k nodes and 500k edges: each op appends a
+// 32-edge batch and builds the next snapshot from the previous one.
+func BenchmarkServeAppend(b *testing.B) {
+	const n = 100_000
+	g, err := ds.GenerateChungLu(n, 500_000, 2.2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	edges := make([]Edge, 0, g.NumEdges())
+	g.Edges(func(u, v int32, _ float64) bool {
+		edges = append(edges, Edge{U: u, V: v, W: 1})
+		return true
+	})
+	reg := NewRegistry()
+	if _, err := reg.Register("g", false, false, edges, n); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := reg.Snapshot("g"); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	batch := make([]Edge, 32)
+	b.ReportAllocs()
+	for b.Loop() {
+		for i := range batch {
+			u, v := int32(rng.IntN(n)), int32(rng.IntN(n-1))
+			if v >= u {
+				v++
+			}
+			batch[i] = Edge{U: u, V: v, W: 1}
+		}
+		if _, err := reg.Append("g", batch); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := reg.Snapshot("g"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

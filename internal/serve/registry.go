@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,7 +17,13 @@ import (
 
 	ds "densestream"
 	"densestream/internal/edgeio"
+	"densestream/internal/graph"
 )
+
+// maxNodes is the node ceiling of every registered graph: a node count
+// or node id that would size a graph past it is rejected before
+// anything is allocated for it.
+const maxNodes = 1 << 26
 
 // Edge is one registered edge. Registered graphs use dense integer node
 // ids (like the file-stream inputs); W is 1 for unweighted graphs.
@@ -31,13 +39,18 @@ type GraphInfo struct {
 	Directed bool   `json:"directed"`
 	Weighted bool   `json:"weighted"`
 	// Nodes and Edges count the registered input (edges as given,
-	// before parallel-edge merging).
+	// before parallel-edge merging); appends add to both. Nodes is at
+	// most 2^26.
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
-	// Fingerprint identifies the graph content: two graphs with the
+	// Fingerprint identifies a registration plus its sequence of
+	// appends and deletes, not an edge multiset: two graphs with the
 	// same fingerprint produce bit-identical Solutions for the same
-	// Problem. Appending edges changes it, which is what invalidates
-	// cached results.
+	// Problem, which is what keys cached results. A registration hashes
+	// its shape and edges (so a text file and its binary conversion
+	// match); every append or delete then hashes the previous
+	// fingerprint with the batch, a hash chain that never returns to an
+	// earlier value when a batch is undone.
 	Fingerprint string `json:"fingerprint"`
 	// Version counts registrations and appends under this name.
 	Version int64 `json:"version"`
@@ -64,11 +77,17 @@ type Snapshot struct {
 
 // graphEntry is the mutable registry slot behind one name.
 type graphEntry struct {
-	mu       sync.Mutex
-	info     GraphInfo
-	edges    []Edge
-	snap     *Snapshot // built lazily; nil after an append (stale)
-	buildErr error     // sticky build failure for the current version
+	mu   sync.Mutex
+	info GraphInfo
+	fp   uint64 // info.Fingerprint: the last link of the hash chain
+
+	// snap is the last snapshot built, current while its version is
+	// info.Version. A static graph's next snapshot is snap's graph with
+	// pending, the edges appended since, spliced in (or all of pending
+	// frozen, before the first snapshot).
+	snap     *Snapshot
+	pending  []graph.Edge
+	buildErr error // sticky build failure for the current version
 
 	// dyn, when non-nil, is the incremental maintainer behind a dynamic
 	// graph: appends feed it in place and Snapshot freezes its live
@@ -102,9 +121,9 @@ func (r *Registry) Register(name string, directed, weighted bool, edges []Edge, 
 	if err := checkEdges(edges, weighted); err != nil {
 		return GraphInfo{}, err
 	}
-	n := maxNode(edges) + 1
-	if nodes > int(n) {
-		n = int32(nodes)
+	n, err := nodeCount(edges, nodes)
+	if err != nil {
+		return GraphInfo{}, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -116,19 +135,20 @@ func (r *Registry) Register(name string, directed, weighted bool, edges []Edge, 
 		prev.mu.Unlock()
 	}
 	e := &graphEntry{
-		info:  GraphInfo{Name: name, Directed: directed, Weighted: weighted, Nodes: int(n), Edges: len(edges), Version: version},
-		edges: append([]Edge(nil), edges...),
+		info:    GraphInfo{Name: name, Directed: directed, Weighted: weighted, Nodes: n, Edges: len(edges), Version: version},
+		pending: appendGraphEdges(nil, edges),
 	}
-	e.info.Fingerprint = fingerprint(e.info, e.edges)
+	e.setFingerprint(fingerprint(e.info, edges))
 	r.graphs[name] = e
 	return e.info, nil
 }
 
 // Append adds edges to an existing graph, bumping its version and
-// fingerprint (which unkeys every cached result for the old content).
-// New node ids extend the graph. On a dynamic graph the edges feed the
-// maintainer in place (the node universe is fixed at registration) and
-// the fingerprint tracks the ingest log.
+// chaining its fingerprint (which unkeys every cached result for the
+// old content). New node ids extend the graph. The cost is O(batch):
+// the batch is checked, hashed and queued for the next Snapshot. On a
+// dynamic graph the edges feed the maintainer in place (the node
+// universe is fixed at registration).
 func (r *Registry) Append(name string, edges []Edge) (GraphInfo, error) {
 	e, err := r.entry(name)
 	if err != nil {
@@ -137,23 +157,19 @@ func (r *Registry) Append(name string, edges []Edge) (GraphInfo, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dyn != nil {
-		if err := feedMaintainer(e.dyn, e.dynCfg, edges, false); err != nil {
-			return GraphInfo{}, err
-		}
-		return e.bumpDynamicLocked(edges), nil
+		return e.feedDynamicLocked(edges, opAppend)
 	}
 	if err := checkEdges(edges, e.info.Weighted); err != nil {
 		return GraphInfo{}, err
 	}
-	e.edges = append(e.edges, edges...)
-	if n := maxNode(e.edges) + 1; int(n) > e.info.Nodes {
-		e.info.Nodes = int(n)
+	n, err := nodeCount(edges, e.info.Nodes)
+	if err != nil {
+		return GraphInfo{}, err
 	}
-	e.info.Edges = len(e.edges)
-	e.info.Version++
-	e.info.Fingerprint = fingerprint(e.info, e.edges)
-	e.snap, e.buildErr = nil, nil
-	return e.info, nil
+	e.pending = appendGraphEdges(e.pending, edges)
+	e.info.Nodes = n
+	e.info.Edges += len(edges)
+	return e.bumpLocked(opAppend, edges), nil
 }
 
 // RegisterDynamic creates or replaces name as a dynamic graph: a
@@ -165,17 +181,16 @@ func (r *Registry) RegisterDynamic(name string, cfg ds.MaintainerConfig, edges [
 	if name == "" {
 		return GraphInfo{}, fmt.Errorf("serve: graph name must not be empty")
 	}
-	if n := int(maxNode(edges)) + 1; cfg.NumNodes < n {
-		cfg.NumNodes = n
+	n, err := nodeCount(edges, max(cfg.NumNodes, 1))
+	if err != nil {
+		return GraphInfo{}, err
 	}
-	if cfg.NumNodes < 1 {
-		cfg.NumNodes = 1
-	}
+	cfg.NumNodes = n
 	m, err := ds.NewMaintainer(cfg)
 	if err != nil {
 		return GraphInfo{}, err
 	}
-	if err := feedMaintainer(m, cfg, edges, false); err != nil {
+	if _, err := feedMaintainer(m, cfg, edges, false); err != nil {
 		return GraphInfo{}, err
 	}
 	r.mu.Lock()
@@ -195,7 +210,7 @@ func (r *Registry) RegisterDynamic(name string, cfg ds.MaintainerConfig, edges [
 		dyn: m, dynCfg: cfg,
 	}
 	e.info.Edges = int(m.Stats().LiveEdges)
-	e.info.Fingerprint = fingerprint(e.info, edges)
+	e.setFingerprint(fingerprint(e.info, edges))
 	r.graphs[name] = e
 	return e.info, nil
 }
@@ -212,54 +227,82 @@ func (r *Registry) DeleteEdges(name string, edges []Edge) (GraphInfo, error) {
 	if e.dyn == nil {
 		return GraphInfo{}, fmt.Errorf("serve: graph %q is not dynamic; deletes need a graph registered with dynamic=true", name)
 	}
-	if err := feedMaintainer(e.dyn, e.dynCfg, edges, true); err != nil {
-		return GraphInfo{}, err
-	}
-	return e.bumpDynamicLocked(edges), nil
+	return e.feedDynamicLocked(edges, opDelete)
 }
 
-// bumpDynamicLocked refreshes a dynamic entry's descriptor after a
-// feed: the live edge gauge, the version, and a fingerprint chained
-// over the update batch (content-identifying, like the static log
-// hash). Invalidates the memoized snapshot.
-func (e *graphEntry) bumpDynamicLocked(batch []Edge) GraphInfo {
-	e.info.Edges = int(e.dyn.Stats().LiveEdges)
+// feedDynamicLocked applies one update batch to a dynamic entry's
+// maintainer and bumps the descriptor. A batch that fails part way
+// still bumps it for the prefix that was applied, since that prefix
+// changed the live edges.
+func (e *graphEntry) feedDynamicLocked(batch []Edge, op byte) (GraphInfo, error) {
+	applied, err := feedMaintainer(e.dyn, e.dynCfg, batch, op == opDelete)
+	if applied > 0 || err == nil {
+		e.info.Edges = int(e.dyn.Stats().LiveEdges)
+		e.bumpLocked(op, batch[:applied])
+	}
+	if err != nil {
+		return GraphInfo{}, err
+	}
+	return e.info, nil
+}
+
+// Fingerprint chain operations.
+const (
+	opAppend = 'a'
+	opDelete = 'd'
+)
+
+// bumpLocked moves the entry to its next version after an update batch:
+// the fingerprint becomes the hash of the previous one, op, the shape
+// and the batch.
+func (e *graphEntry) bumpLocked(op byte, batch []Edge) GraphInfo {
 	e.info.Version++
-	prev := e.info.Fingerprint
-	e.info.Fingerprint = fingerprint(e.info, batch)[:8] + prev[:8]
-	e.snap, e.buildErr = nil, nil
+	h := fnv.New64a()
+	var buf [9]byte
+	binary.LittleEndian.PutUint64(buf[:], e.fp)
+	buf[8] = op
+	h.Write(buf[:])
+	hashLink(h, e.info, batch)
+	e.setFingerprint(h.Sum64())
+	e.buildErr = nil
 	return e.info
 }
 
-// feedMaintainer applies one update batch. Windowed maintainers read
-// each edge's W column as its integer timestamp and advance the
-// watermark along the way (expiring old buckets in batches).
-func feedMaintainer(m *ds.Maintainer, cfg ds.MaintainerConfig, edges []Edge, del bool) error {
+func (e *graphEntry) setFingerprint(fp uint64) {
+	e.fp = fp
+	e.info.Fingerprint = fmt.Sprintf("%016x", fp)
+}
+
+// feedMaintainer applies one update batch and reports how many of its
+// edges it applied. Windowed maintainers read each edge's W column as
+// its integer timestamp and advance the watermark along the way
+// (expiring old buckets in batches).
+func feedMaintainer(m *ds.Maintainer, cfg ds.MaintainerConfig, edges []Edge, del bool) (int, error) {
 	for i, e := range edges {
 		if del {
 			if err := m.Delete(e.U, e.V); err != nil {
-				return fmt.Errorf("serve: edge %d: %w", i, err)
+				return i, fmt.Errorf("serve: edge %d: %w", i, err)
 			}
 			continue
 		}
 		if cfg.Window > 0 {
 			ts := int64(e.W)
 			if float64(ts) != e.W || ts < 1 {
-				return fmt.Errorf("serve: edge %d (%d,%d): windowed dynamic graphs need a positive integer timestamp in the weight column, got %v", i, e.U, e.V, e.W)
+				return i, fmt.Errorf("serve: edge %d (%d,%d): windowed dynamic graphs need a positive integer timestamp in the weight column, got %v", i, e.U, e.V, e.W)
 			}
 			if err := m.InsertAt(e.U, e.V, ts); err != nil {
-				return fmt.Errorf("serve: edge %d: %w", i, err)
+				return i, fmt.Errorf("serve: edge %d: %w", i, err)
 			}
 			if err := m.Advance(ts); err != nil {
-				return err
+				return i + 1, err
 			}
 			continue
 		}
 		if err := m.Insert(e.U, e.V); err != nil {
-			return fmt.Errorf("serve: edge %d: %w", i, err)
+			return i, fmt.Errorf("serve: edge %d: %w", i, err)
 		}
 	}
-	return nil
+	return len(edges), nil
 }
 
 // DynamicConfig returns the maintainer configuration of a dynamic
@@ -328,7 +371,11 @@ func (r *Registry) DynamicStats() (graphs int, agg ds.MaintainerStats) {
 
 // Snapshot returns the frozen graph for name at its current version,
 // building (and memoizing) it on first use after a registration or
-// append. Concurrent snapshots of the same version share one build.
+// append. Concurrent snapshots of the same version share one build. A
+// static graph's build splices the edges appended since the previous
+// snapshot into a copy of its CSR (graph.AppendUndirected), bit for bit
+// the graph a Freeze of the whole edge log builds; the previous
+// snapshot, which running solves may hold, is never modified.
 func (r *Registry) Snapshot(name string) (*Snapshot, error) {
 	e, err := r.entry(name)
 	if err != nil {
@@ -339,65 +386,37 @@ func (r *Registry) Snapshot(name string) (*Snapshot, error) {
 	if e.buildErr != nil {
 		return nil, e.buildErr
 	}
-	if e.snap != nil {
+	if e.snap != nil && e.snap.Info.Version == e.info.Version {
 		return e.snap, nil
 	}
+	prev := e.snap
+	if prev == nil {
+		prev = &Snapshot{}
+	}
 	snap := &Snapshot{Info: e.info}
-	if e.dyn != nil {
+	switch {
+	case e.dyn != nil:
 		// A dynamic graph's snapshot is its live edge set — what a
 		// from-scratch solve at this version would see.
 		b := ds.NewBuilder(e.info.Nodes)
 		for _, ed := range e.dyn.Edges() {
-			if err := b.AddEdge(ed.U, ed.V); err != nil {
-				e.buildErr = fmt.Errorf("serve: building graph %q: %w", name, err)
-				return nil, e.buildErr
+			if err = b.AddEdge(ed.U, ed.V); err != nil {
+				break
 			}
 		}
-		g, err := b.Freeze()
-		if err != nil {
-			e.buildErr = fmt.Errorf("serve: building graph %q: %w", name, err)
-			return nil, e.buildErr
+		if err == nil {
+			snap.Graph, err = b.Freeze()
 		}
-		snap.Graph = g
-		e.snap = snap
-		return snap, nil
+	case e.info.Directed:
+		snap.Directed, err = graph.AppendDirected(prev.Directed, e.pending, e.info.Nodes)
+	default:
+		snap.Graph, err = graph.AppendUndirected(prev.Graph, e.pending, e.info.Nodes, e.info.Weighted)
 	}
-	if e.info.Directed {
-		b := ds.NewDirectedBuilder(e.info.Nodes)
-		for _, ed := range e.edges {
-			if err := b.AddEdge(ed.U, ed.V); err != nil {
-				e.buildErr = fmt.Errorf("serve: building graph %q: %w", name, err)
-				return nil, e.buildErr
-			}
-		}
-		g, err := b.Freeze()
-		if err != nil {
-			e.buildErr = fmt.Errorf("serve: building graph %q: %w", name, err)
-			return nil, e.buildErr
-		}
-		snap.Directed = g
-	} else {
-		b := ds.NewBuilder(e.info.Nodes)
-		for _, ed := range e.edges {
-			var err error
-			if e.info.Weighted {
-				err = b.AddWeightedEdge(ed.U, ed.V, ed.W)
-			} else {
-				err = b.AddEdge(ed.U, ed.V)
-			}
-			if err != nil {
-				e.buildErr = fmt.Errorf("serve: building graph %q: %w", name, err)
-				return nil, e.buildErr
-			}
-		}
-		g, err := b.Freeze()
-		if err != nil {
-			e.buildErr = fmt.Errorf("serve: building graph %q: %w", name, err)
-			return nil, e.buildErr
-		}
-		snap.Graph = g
+	if err != nil {
+		e.buildErr = fmt.Errorf("serve: building graph %q: %w", name, err)
+		return nil, e.buildErr
 	}
-	e.snap = snap
+	e.snap, e.pending = snap, nil
 	return snap, nil
 }
 
@@ -488,11 +507,39 @@ func maxNode(edges []Edge) int32 {
 	return n
 }
 
-// fingerprint hashes the registered content — shape flags, node count,
-// and the exact edge sequence — into a short hex id. FNV-1a over the
-// fixed-width encoding: stable across processes and platforms.
-func fingerprint(info GraphInfo, edges []Edge) string {
+// nodeCount is the node universe of edges, one past their largest id,
+// raised to atLeast; universes above maxNodes are an error.
+func nodeCount(edges []Edge, atLeast int) (int, error) {
+	n := max(int(maxNode(edges))+1, atLeast)
+	if n > maxNodes {
+		return 0, fmt.Errorf("serve: %d nodes exceed the ceiling of %d", n, maxNodes)
+	}
+	return n, nil
+}
+
+// appendGraphEdges appends edges to dst in the graph package's form.
+func appendGraphEdges(dst []graph.Edge, edges []Edge) []graph.Edge {
+	dst = slices.Grow(dst, len(edges))
+	for _, e := range edges {
+		dst = append(dst, graph.Edge{U: e.U, V: e.V, Weight: e.W})
+	}
+	return dst
+}
+
+// fingerprint hashes a registration — shape flags, node count and the
+// exact edge sequence — into the first link of the fingerprint chain.
+// FNV-1a over the fixed-width encoding: stable across processes and
+// platforms.
+func fingerprint(info GraphInfo, edges []Edge) uint64 {
 	h := fnv.New64a()
+	hashLink(h, info, edges)
+	return h.Sum64()
+}
+
+// hashLink writes the shape flags, the node count and the edges to h.
+// The W column is hashed where it carries content: weights, or the
+// timestamps of a windowed dynamic graph.
+func hashLink(h hash.Hash64, info GraphInfo, edges []Edge) {
 	var buf [8]byte
 	flags := byte(0)
 	if info.Directed {
@@ -504,16 +551,16 @@ func fingerprint(info GraphInfo, edges []Edge) string {
 	h.Write([]byte{flags})
 	binary.LittleEndian.PutUint64(buf[:], uint64(info.Nodes))
 	h.Write(buf[:])
+	withW := info.Weighted || info.Window > 0
 	for _, e := range edges {
 		binary.LittleEndian.PutUint32(buf[:4], uint32(e.U))
 		binary.LittleEndian.PutUint32(buf[4:], uint32(e.V))
 		h.Write(buf[:])
-		if info.Weighted {
+		if withW {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(e.W))
 			h.Write(buf[:])
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // ParseEdgeList reads a SNAP-style edge list — "u v" or "u v w" per

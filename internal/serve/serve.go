@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -335,22 +336,8 @@ func (s *Server) decodeGraphBody(r *http.Request) (graphSpec, []Edge, error) {
 			edges, err := ReadEdgeListFile(spec.Path, spec.Weighted || spec.timestamped())
 			return spec, edges, err
 		case spec.Edges != nil:
-			edges := make([]Edge, len(spec.Edges))
-			for i, row := range spec.Edges {
-				if len(row) < 2 || len(row) > 3 {
-					return spec, nil, fmt.Errorf("serve: edge %d: need [u,v] or [u,v,w], got %d fields", i, len(row))
-				}
-				u, v := row[0], row[1]
-				if u != float64(int32(u)) || v != float64(int32(v)) {
-					return spec, nil, fmt.Errorf("serve: edge %d: node ids must be integers, got [%v,%v]", i, u, v)
-				}
-				e := Edge{U: int32(u), V: int32(v), W: 1}
-				if len(row) == 3 {
-					e.W = row[2]
-				}
-				edges[i] = e
-			}
-			return spec, edges, nil
+			edges, err := edgeRows(spec.Edges)
+			return spec, edges, err
 		default:
 			return spec, nil, fmt.Errorf("serve: graph spec needs a path or an edges array")
 		}
@@ -358,6 +345,31 @@ func (s *Server) decodeGraphBody(r *http.Request) (graphSpec, []Edge, error) {
 	// Any other content type: a raw SNAP-style edge list.
 	edges, err := ParseEdgeList(r.Body, spec.Weighted || spec.timestamped())
 	return spec, edges, err
+}
+
+// edgeRows decodes JSON edge rows, [u,v] or [u,v,w], into edges. Node
+// ids must be integers in the int32 range; an error names the row.
+func edgeRows(rows [][]float64) ([]Edge, error) {
+	edges := make([]Edge, len(rows))
+	for i, row := range rows {
+		if len(row) < 2 || len(row) > 3 {
+			return nil, fmt.Errorf("serve: edge %d: need [u,v] or [u,v,w], got %d fields", i, len(row))
+		}
+		u, v := row[0], row[1]
+		if !isInt32(u) || !isInt32(v) {
+			return nil, fmt.Errorf("serve: edge %d: node ids must be int32 integers, got [%v,%v]", i, u, v)
+		}
+		e := Edge{U: int32(u), V: int32(v), W: 1}
+		if len(row) == 3 {
+			e.W = row[2]
+		}
+		edges[i] = e
+	}
+	return edges, nil
+}
+
+func isInt32(x float64) bool {
+	return x == math.Trunc(x) && x >= math.MinInt32 && x <= math.MaxInt32
 }
 
 // timestamped reports whether the spec's edge rows carry a timestamp
@@ -389,8 +401,8 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAppendEdges is the streaming ingest endpoint: it appends the
-// body's edges to a registered graph, bumps its fingerprint, and drops
-// the graph's cached results. On a dynamic graph the edges feed the
+// body's edges to a registered graph in O(batch), chains its
+// fingerprint, and drops the graph's cached results. On a dynamic graph the edges feed the
 // maintainer in place (windowed graphs read the third column as the
 // timestamp), `?op=delete` removes edges instead, and the cache is left
 // alone — the bumped fingerprint already unkeys stale results while the
@@ -412,16 +424,9 @@ func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 			writeError(w, bodyStatus(err), fmt.Errorf("serve: decoding edges: %w", err), nil)
 			return
 		}
-		for i, row := range spec.Edges {
-			if len(row) < 2 || len(row) > 3 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("serve: edge %d: need [u,v] or [u,v,w]", i), nil)
-				return
-			}
-			e := Edge{U: int32(row[0]), V: int32(row[1]), W: 1}
-			if len(row) == 3 {
-				e.W = row[2]
-			}
-			edges = append(edges, e)
+		if edges, err = edgeRows(spec.Edges); err != nil {
+			writeError(w, http.StatusBadRequest, err, nil)
+			return
 		}
 	} else {
 		edges, err = ParseEdgeList(r.Body, info.Weighted || (info.Dynamic && info.Window > 0))
